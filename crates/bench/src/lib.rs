@@ -361,147 +361,6 @@ pub mod emit {
             Ok(path)
         }
     }
-
-    /// One measured walk run in a throughput sweep: total steps, wall
-    /// time, and the per-phase nanosecond breakdown (summed across
-    /// nodes), from which overall and local-compute-only throughput are
-    /// derived.
-    #[derive(Debug, Clone)]
-    pub struct ThroughputRow {
-        /// Which sweep point this row is (e.g. `"twitter deepwalk, interleaved"`).
-        pub label: String,
-        /// Walker steps taken over the whole run.
-        pub steps: u64,
-        /// Wall-clock seconds for the run.
-        pub elapsed_s: f64,
-        /// Steps per wall-clock second.
-        pub steps_per_s: f64,
-        /// Steps per second of *local compute* (the `local_compute`,
-        /// `light_mode`, and `commit` phases — the intra-rank hot path
-        /// the step engine owns), excluding exchange and setup.
-        pub compute_steps_per_s: f64,
-        /// Per-phase nanoseconds, `(phase_name, ns)`, nonzero phases only.
-        pub phase_ns: Vec<(String, u64)>,
-    }
-
-    /// A walk-throughput report; `write` produces
-    /// `BENCH_walk_throughput.json` for CI and A/B comparison.
-    #[derive(Debug, Clone)]
-    pub struct ThroughputReport {
-        workload: String,
-        rows: Vec<ThroughputRow>,
-    }
-
-    impl ThroughputReport {
-        /// A report measuring `workload`.
-        pub fn new(workload: &str) -> Self {
-            ThroughputReport {
-                workload: workload.to_string(),
-                rows: Vec::new(),
-            }
-        }
-
-        /// Appends one measured row.
-        pub fn push(&mut self, row: ThroughputRow) {
-            self.rows.push(row);
-        }
-
-        /// Renders the report as a JSON document.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            out.push_str("{\n");
-            out.push_str("  \"bench\": \"walk_throughput\",\n");
-            out.push_str(&format!(
-                "  \"workload\": \"{}\",\n",
-                escape(&self.workload)
-            ));
-            out.push_str(&format!("  \"git_rev\": \"{}\",\n", escape(&git_rev())));
-            out.push_str("  \"rows\": [\n");
-            for (i, r) in self.rows.iter().enumerate() {
-                let phases = r
-                    .phase_ns
-                    .iter()
-                    .map(|(name, ns)| format!("\"{}\": {}", escape(name), ns))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(
-                    "    {{\"label\": \"{}\", \"steps\": {}, \"elapsed_s\": {:.4}, \
-                     \"steps_per_s\": {:.0}, \"compute_steps_per_s\": {:.0}, \
-                     \"phase_ns\": {{{}}}}}{}\n",
-                    escape(&r.label),
-                    r.steps,
-                    r.elapsed_s,
-                    r.steps_per_s,
-                    r.compute_steps_per_s,
-                    phases,
-                    if i + 1 == self.rows.len() { "" } else { "," }
-                ));
-            }
-            out.push_str("  ]\n}\n");
-            out
-        }
-
-        /// Writes `BENCH_walk_throughput.json` in the working directory
-        /// and returns its path.
-        ///
-        /// # Errors
-        ///
-        /// Propagates file creation and write failures.
-        pub fn write(&self) -> io::Result<PathBuf> {
-            let path = PathBuf::from("BENCH_walk_throughput.json");
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(self.render().as_bytes())?;
-            f.flush()?;
-            Ok(path)
-        }
-    }
-}
-
-/// Builds a [`emit::ThroughputRow`] from a profiled run: steps and wall
-/// time from the result, the phase breakdown from its profile (summed
-/// across nodes). Runs without a profile get an empty breakdown and a
-/// compute throughput equal to the overall one.
-pub fn throughput_row(label: &str, result: &WalkResult) -> emit::ThroughputRow {
-    use knightking_obs::Phase;
-    let steps = result.metrics.steps;
-    let elapsed_s = result.elapsed.as_secs_f64();
-    let mut phase_ns: Vec<(String, u64)> = Vec::new();
-    let mut compute_ns = 0u64;
-    if let Some(profile) = &result.profile {
-        let mut totals = vec![0u64; Phase::ALL.len()];
-        for node in &profile.nodes {
-            for p in Phase::ALL {
-                totals[p.index()] += node.timers.totals[p.index()];
-            }
-        }
-        for p in Phase::ALL {
-            let ns = totals[p.index()];
-            if ns > 0 {
-                phase_ns.push((p.name().to_string(), ns));
-            }
-            if matches!(p, Phase::LocalCompute | Phase::LightMode | Phase::Commit) {
-                compute_ns += ns;
-            }
-        }
-    }
-    let steps_per_s = if elapsed_s > 0.0 {
-        steps as f64 / elapsed_s
-    } else {
-        0.0
-    };
-    let compute_steps_per_s = if compute_ns > 0 {
-        steps as f64 / (compute_ns as f64 / 1e9)
-    } else {
-        steps_per_s
-    };
-    emit::ThroughputRow {
-        label: label.to_string(),
-        steps,
-        elapsed_s,
-        steps_per_s,
-        compute_steps_per_s,
-        phase_ns,
-    }
 }
 
 /// Renders a one-line per-phase breakdown (`name 12.3% (0.45s)`, nonzero

@@ -134,56 +134,6 @@ impl WalkerStarts {
     }
 }
 
-/// How the intra-rank hot loop executes walker steps.
-///
-/// Both engines consume per-walker RNG streams in the same order and
-/// produce byte-identical results; the interleaved engine only changes
-/// *when* graph and sampler cache lines are touched, by issuing software
-/// prefetches a fixed distance ahead of the committing walker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepEngine {
-    /// One walker at a time, no lookahead — the original loop. Selectable
-    /// for A/B runs via `KK_SCALAR_STEP=1`.
-    Scalar,
-    /// Stage-interleaved execution: while walker `i` samples, the CSR row
-    /// bounds, edge/weight lines, and alias/max-`Ps` entries of walkers
-    /// `i + ring/2` and `i + ring` are prefetched into L1.
-    Interleaved {
-        /// Number of in-flight walkers per thread (the prefetch distance).
-        /// Clamped to at least 1; `ring == 1` degenerates to a
-        /// one-ahead pipeline.
-        ring: usize,
-    },
-}
-
-impl StepEngine {
-    /// The default engine, honoring the `KK_SCALAR_STEP` environment
-    /// switch (`1`/`true` selects [`StepEngine::Scalar`]).
-    pub fn from_env() -> Self {
-        match std::env::var("KK_SCALAR_STEP") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => StepEngine::Scalar,
-            _ => StepEngine::default(),
-        }
-    }
-
-    /// The ring size (lookahead distance): 0 for the scalar engine.
-    #[inline]
-    pub fn ring(self) -> usize {
-        match self {
-            StepEngine::Scalar => 0,
-            StepEngine::Interleaved { ring } => ring.max(1),
-        }
-    }
-}
-
-/// Eight in-flight walkers: far enough ahead to cover a DRAM miss at
-/// typical per-walker sample costs, small enough to stay cache-resident.
-impl Default for StepEngine {
-    fn default() -> Self {
-        StepEngine::Interleaved { ring: 8 }
-    }
-}
-
 /// Which static-component sampler backend the engine builds per vertex.
 ///
 /// Both backends sample the *same* distribution exactly; they differ in
@@ -286,19 +236,6 @@ pub struct WalkConfig {
     /// token must be configured on every node of a distributed run (the
     /// check is a collective).
     pub cancel: Option<CancelToken>,
-    /// Intra-rank step execution strategy (see [`StepEngine`]). Defaults
-    /// to the stage-interleaved engine unless `KK_SCALAR_STEP=1` is set
-    /// in the environment at config construction. Never changes results —
-    /// both engines are byte-identical.
-    pub step_engine: StepEngine,
-    /// Sort each chunk's walkers by current-vertex cache block before
-    /// stepping (first-order programs only; second-order answer routing
-    /// is positional and is never reordered). Off by default: it helps
-    /// when many walkers share hot vertices and hurts on uniform
-    /// workloads. Byte-identity holds either way — per-walker RNG streams
-    /// make trajectories order-independent, and paths/metrics are merged
-    /// canonically.
-    pub block_sort: bool,
     /// Static-component sampler backend (see [`SamplerBackend`]).
     /// Epoch-pinned by construction: config is immutable for the lifetime
     /// of a run or resident service, so every walker of a run samples
@@ -327,8 +264,6 @@ impl WalkConfig {
             decoupled_static: true,
             profile: false,
             cancel: None,
-            step_engine: StepEngine::from_env(),
-            block_sort: false,
             sampler: SamplerBackend::default(),
         }
     }
@@ -433,18 +368,6 @@ mod tests {
         assert!(t2.is_cancelled());
         assert_eq!(t, t2, "clones compare equal (same flag)");
         assert_ne!(t, CancelToken::new(), "distinct tokens differ");
-    }
-
-    #[test]
-    fn step_engine_ring_distances() {
-        assert_eq!(StepEngine::Scalar.ring(), 0);
-        assert_eq!(StepEngine::Interleaved { ring: 8 }.ring(), 8);
-        assert_eq!(
-            StepEngine::Interleaved { ring: 0 }.ring(),
-            1,
-            "ring clamps to at least one in-flight walker"
-        );
-        assert_eq!(StepEngine::default(), StepEngine::Interleaved { ring: 8 });
     }
 
     #[test]

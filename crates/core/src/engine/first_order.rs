@@ -7,42 +7,34 @@
 //! lockstep").
 
 use knightking_cluster::Scheduler;
-use knightking_net::Transport;
+use knightking_net::{Transport, Wire};
 
 use crate::{
-    config::StepEngine,
     metrics::WalkMetrics,
     program::{WalkObserver, WalkerProgram},
     result::PathEntry,
 };
 
 use super::{
+    finish_step, finish_walk,
     instrument::{NodeObs, Phase},
-    local_step, merge_accs, msg_wire_bytes, run_chunk_interleaved, ChunkAcc, FinishedWalk, Msg,
-    NodeRt, Slot, SlotState, StepOutcome,
+    merge_accs, open_superstep, run_chunk, ChunkAcc, FinishedWalk, Msg, NodeRt, Slot, SlotState,
+    Staged, StepOutcome,
 };
 
-/// One walker's whole first-order step: the local sampling decision plus
-/// outcome handling. Shared verbatim by the scalar and interleaved
-/// engines — the engines differ only in visitation order and prefetching.
+/// The second half of one walker's first-order step: the sampling
+/// decision `begin_step` staged (or the whole eager step) plus outcome
+/// handling.
 fn step_one<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     idx: u32,
+    staged: Staged,
     acc: &mut ChunkAcc<P, O>,
 ) {
     let trials_before = acc.metrics.trials;
-    match local_step(rt, slot, idx, acc) {
-        StepOutcome::Finished => {
-            acc.metrics.finished_walkers += 1;
-            slot.state = SlotState::Finished;
-            acc.obs.walk_finished(slot.walker.step as u64);
-            acc.finished.push(FinishedWalk {
-                tag: slot.walker.tag,
-                walker: slot.walker.id,
-                steps: slot.walker.step,
-            });
-        }
+    match finish_step(rt, slot, idx, staged, acc) {
+        StepOutcome::Finished => finish_walk(slot, acc),
         StepOutcome::Moved(dst) => {
             rt.commit_move(slot, dst, acc);
         }
@@ -69,44 +61,19 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     prof: &mut NodeObs,
 ) {
     let n = ctx.n_nodes();
-
-    let light = scheduler.is_light(slots.len());
-    prof.superstep(
-        slots.len() as u64,
-        scheduler.chunk_count(slots.len()) as u64,
-        light,
-    );
-    let compute_phase = if light {
-        Phase::LightMode
-    } else {
-        Phase::LocalCompute
-    };
-    let obs_ctx = prof.chunk_ctx();
+    let (compute_phase, obs_ctx) = open_superstep(scheduler, slots.len(), prof);
     let accs = prof.time(compute_phase, || {
         scheduler.run_chunks(
             slots,
             || ChunkAcc::new(n, rt.observer, obs_ctx),
-            |base, slice, acc| match rt.cfg.step_engine {
-                StepEngine::Scalar => {
-                    for (i, slot) in slice.iter_mut().enumerate() {
-                        step_one(rt, slot, (base + i) as u32, acc);
-                    }
-                }
-                engine @ StepEngine::Interleaved { .. } => run_chunk_interleaved(
-                    rt,
-                    slice,
-                    base,
-                    acc,
-                    engine.ring(),
-                    // First-order answer routing is tag-free, so the
-                    // visitation order is free to chase cache locality.
-                    rt.cfg.block_sort,
-                    |_| true,
-                    |slot, idx, acc| step_one(rt, slot, idx, acc),
-                ),
+            |base, slice, acc| {
+                run_chunk(rt, slice, base, acc, |slot, idx, staged, acc| {
+                    step_one(rt, slot, idx, staged, acc)
+                })
             },
         )
     });
+    let finished_before = finished.len();
     let outbox = merge_accs(
         rt.observer,
         accs,
@@ -118,11 +85,17 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         prof,
     );
 
+    // Every walker that left its slot this superstep either finished or
+    // departed in a message; most supersteps neither happens, and the
+    // pass over every slot is skipped.
+    let any_left = finished.len() > finished_before || outbox.iter().any(|o| !o.is_empty());
     let (inbox, stats) = prof.time(Phase::Exchange, || {
-        ctx.exchange_with_stats(outbox, &msg_wire_bytes::<P>)
+        ctx.exchange_with_stats(outbox, &Msg::<P>::wire_size)
     });
     prof.record_exchange_bytes(stats.sent_bytes);
-    slots.retain(|s| matches!(s.state, SlotState::Active { .. }));
+    if any_left {
+        slots.retain(|s| matches!(s.state, SlotState::Active { .. }));
+    }
     for msg in inbox {
         match msg {
             Msg::Move(walker) => slots.push(Slot {

@@ -16,7 +16,7 @@
 mod real {
     use knightking_obs::{Event, EventKind, EventRing, NodeProfile, Pow2Histogram};
 
-    pub(crate) use knightking_obs::Phase;
+    pub(crate) use knightking_obs::{Phase, N_PHASES};
 
     /// Per-chunk trace ring capacity: a chunk processes at most
     /// `chunk_size` walkers per iteration, so fallback events rarely
@@ -47,7 +47,6 @@ mod real {
         ring: EventRing,
         walk_length: Pow2Histogram,
         trials_per_step: Pow2Histogram,
-        gather_ns: u64,
     }
 
     impl ChunkObs {
@@ -59,18 +58,6 @@ mod real {
                 ring: EventRing::new(if ctx.enabled { CHUNK_RING_CAP } else { 1 }),
                 walk_length: Pow2Histogram::new(),
                 trials_per_step: Pow2Histogram::new(),
-                gather_ns: 0,
-            }
-        }
-
-        /// Records CPU nanoseconds spent building this chunk's stage pool
-        /// (the interleaved engine's gather stage). Thread-summed across
-        /// chunks into `Phase::Gather`, so the total can exceed the
-        /// wall-clock `LocalCompute` time on many threads.
-        #[inline]
-        pub(crate) fn record_gather_ns(&mut self, ns: u64) {
-            if self.ctx.enabled {
-                self.gather_ns += ns;
             }
         }
 
@@ -141,7 +128,7 @@ mod real {
         }
 
         /// Cumulative nanoseconds per phase since the node started.
-        pub(crate) fn phase_ns_totals(&self) -> [u64; knightking_obs::N_PHASES] {
+        pub(crate) fn phase_ns_totals(&self) -> [u64; N_PHASES] {
             self.profile.timers.totals
         }
 
@@ -221,9 +208,6 @@ mod real {
             }
             self.profile.walk_length.merge(&chunk.walk_length);
             self.profile.trials_per_step.merge(&chunk.trials_per_step);
-            if chunk.gather_ns > 0 {
-                self.profile.timers.add(Phase::Gather, chunk.gather_ns);
-            }
             for e in chunk.ring.drain() {
                 self.ring.push(e);
             }
@@ -274,9 +258,12 @@ mod inert {
         AnswerRound,
         LightMode,
         Finalize,
-        Gather,
         Commit,
     }
+
+    /// Mirror of `knightking_obs::N_PHASES`: the width of
+    /// `LiveSample::phase_ns` must not depend on the feature.
+    pub(crate) const N_PHASES: usize = 9;
 
     pub(crate) type NodeProfileOut = ();
 
@@ -293,9 +280,6 @@ mod inert {
 
         #[inline]
         pub(crate) fn record_trials(&mut self, _trials: u64) {}
-
-        #[inline]
-        pub(crate) fn record_gather_ns(&mut self, _ns: u64) {}
 
         #[inline]
         pub(crate) fn walk_finished(&mut self, _steps: u64) {}
@@ -318,8 +302,8 @@ mod inert {
         }
 
         #[inline]
-        pub(crate) fn phase_ns_totals(&self) -> [u64; 10] {
-            [0; 10]
+        pub(crate) fn phase_ns_totals(&self) -> [u64; N_PHASES] {
+            [0; N_PHASES]
         }
 
         #[inline]

@@ -38,8 +38,9 @@ use knightking_cluster::{comm::run_cluster_with_metrics, Scheduler};
 use knightking_graph::{CsrGraph, EdgeView, Partition, VertexId};
 use knightking_net::{Transport, Wire, WireError};
 use knightking_sampling::{
+    alias::{self, VoseScratch},
     rejection::{Envelope, OutlierSlot},
-    AliasTable, CdfTable, DeterministicRng, RadixTable,
+    AliasTable, CdfTable, DeterministicRng, FlatAlias, RadixTable,
 };
 
 use knightking_dyn::UpdateBatch;
@@ -58,6 +59,10 @@ use instrument::{ChunkCtx, ChunkObs, NodeObs, Phase};
 /// Window of outstanding state queries per walker during a full-scan
 /// fallback, bounding per-iteration message burst at hub vertices.
 const FULL_SCAN_WINDOW: usize = 4096;
+
+/// Vertices per task of the parallel alias-row build: small enough that
+/// hub-heavy blocks still balance across threads.
+const ALIAS_BLOCK_ROWS: usize = 1024;
 
 /// Messages exchanged between nodes.
 ///
@@ -96,8 +101,9 @@ pub enum Msg<P: WalkerProgram> {
 
 /// One tag byte plus the active variant's fields — no padding, no unused
 /// variants. The same function prices messages for the in-process byte
-/// statistics and frames them on the TCP transport, which is what makes
-/// the two backends' byte histograms agree.
+/// statistics (`size_of::<Msg<P>>()` would charge every small `Query` and
+/// `Answer` a `Move`'s footprint) and frames them on the TCP transport,
+/// which is what makes the two backends' byte histograms agree.
 impl<P: WalkerProgram> Wire for Msg<P> {
     fn wire_size(&self) -> usize {
         1 + match self {
@@ -258,9 +264,6 @@ pub(crate) struct ChunkAcc<P: WalkerProgram, O: WalkObserver<P::Data>> {
     pub(crate) env: Envelope,
     /// Scratch buffer for full-scan CDF sampling.
     pub(crate) cdf_scratch: Vec<f64>,
-    /// Stage pool reused across this accumulator's chunks (interleaved
-    /// engine only; stays empty under the scalar engine).
-    pub(crate) pool: StagePool,
 }
 
 impl<P: WalkerProgram, O: WalkObserver<P::Data>> ChunkAcc<P, O> {
@@ -274,129 +277,72 @@ impl<P: WalkerProgram, O: WalkObserver<P::Data>> ChunkAcc<P, O> {
             obs: ChunkObs::new(obs_ctx),
             env: Envelope::simple(1.0, 1.0),
             cdf_scratch: Vec::new(),
-            pool: StagePool::default(),
         }
     }
 }
 
-/// Visitation-order scratch for the interleaved engine's optional
-/// cache-block sort, reused across a thread's chunks. Stays empty in the
-/// default (unsorted) pipeline, which walks the slot slice directly.
-#[derive(Default)]
-pub(crate) struct StagePool {
-    order: Vec<u32>,
+/// How far `begin_step` runs ahead of `finish_step` within a chunk: far
+/// enough for a DRAM miss to land while the walkers in between finish,
+/// small enough that the hinted lines are still in L1 when read (8 and 16
+/// measured equal). Public for the identity tests' chunk-size sweep.
+#[doc(hidden)]
+pub const LOOKAHEAD: usize = 8;
+
+/// What `begin_step` hands the matching `finish_step`.
+#[derive(Clone, Copy)]
+pub(crate) enum Staged {
+    /// Nothing was staged: `finish_step` runs the whole step.
+    Eager,
+    /// The step was decided without sampling (termination, teleport,
+    /// dead end, zero static mass).
+    Done(StepOutcome),
+    /// An alias bucket and its coin are drawn and the bucket's cells
+    /// hinted; `lo` is the row's first cell.
+    Alias { lo: usize, bucket: usize, coin: f64 },
+    /// A uniform edge is drawn and its target cell, at `pos`, hinted.
+    Uniform { pos: usize },
 }
 
-/// Cache-block granularity of the optional gather-stage sort: vertices
-/// whose CSR offsets share a `2^BLOCK_SHIFT`-id block are visited
-/// together. Coarse on purpose — the sort only needs to cluster walkers
-/// enough that a block's rows stay resident across its visits.
-const BLOCK_SHIFT: u32 = 10;
-
-/// Drives one chunk of walkers through the stage-interleaved pipeline.
+/// Drives one chunk of walkers through the staged step kernel: `begin`
+/// on walker `i + lookahead`, then `finish` on walker `i`.
 ///
-/// The loop runs `step` — the exact scalar per-slot logic — on walker
-/// `i` while issuing software prefetches for walkers `i + ring/2` and
-/// `i + ring`:
+/// A static first-order step is a chain of dependent loads — row bounds →
+/// the RNG-chosen `prob`/`alias` cell → the `targets` cell — and too much
+/// happens between two walkers' chains for the out-of-order window to
+/// overlap them. The kernel makes the overlap explicit: `begin_step`
+/// draws and hints the chosen cells, `finish_step` reads them a lookahead
+/// later, and the row bounds of the walker two lookaheads ahead are
+/// hinted before either.
 ///
-/// * distance `ring`: the CSR offsets entry (row bounds) and the
-///   first-level sampler entry (`Option<AliasTable>` / `max_ps` cell);
-/// * distance `ring/2`: the row *payload* (edge targets + weights) and
-///   the alias table's `prob`/`alias` arrays — these reads of row bounds
-///   and the alias pointer hit lines the distance-`ring` stage already
-///   requested.
-///
-/// Lookahead reads the un-stepped slots directly (their `current`/`epoch`
-/// are stable until their own `step` runs, and the slot line is warmed
-/// for the step that follows). With `sort_blocks`, a gather stage first
-/// builds a visitation order clustered by current-vertex cache block
-/// (stable within a block), timed into `Phase::Gather` as thread-summed
-/// CPU nanoseconds.
-///
-/// Byte-identity with the scalar engine holds by construction: prefetches
-/// are architectural no-ops, the early reads touch only immutable data,
-/// every kept slot runs `step` exactly once, and each walker's RNG
-/// stream is private to it — so trajectories, metrics, and
-/// instrumentation are unchanged in every bit. Prefetching a *dead*
-/// slot's vertex (possibly foreign) is likewise harmless: local CSR
-/// slices span the full vertex range and the hint wrappers never fault.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_interleaved<P: WalkerProgram, O: WalkObserver<P::Data>>(
+/// Byte-identity with `lookahead == 0` (begin, then finish at once) holds
+/// by construction: `begin_step` touches only its own walker — whose RNG
+/// stream is private — and immutable graph and sampler data, while
+/// everything shared (`acc`) is written by `finish`, in slot order, in
+/// both schedules.
+pub(crate) fn run_chunk<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slice: &mut [Slot<P>],
     base: usize,
     acc: &mut ChunkAcc<P, O>,
-    ring: usize,
-    sort_blocks: bool,
-    keep: impl Fn(&Slot<P>) -> bool,
-    mut step: impl FnMut(&mut Slot<P>, u32, &mut ChunkAcc<P, O>),
+    mut finish: impl FnMut(&mut Slot<P>, u32, Staged, &mut ChunkAcc<P, O>),
 ) {
-    let d1 = ring.max(1);
-    let d2 = (d1 / 2).max(1);
-    let stage1 = |slot: &Slot<P>| {
-        let v = slot.walker.current;
-        rt.graph.prefetch_row_bounds(v);
-        rt.prefetch_sampler(v);
-    };
-    let stage2 = |slot: &Slot<P>| {
-        let (v, epoch) = (slot.walker.current, slot.walker.epoch);
-        rt.graph.at(epoch).prefetch_row_payload(v);
-        rt.prefetch_sampler_deep(v, epoch);
-    };
-
-    if !sort_blocks {
-        // Fast path: visit in slice order, no gather, no indirection.
-        let n = slice.len();
-        for slot in slice.iter().take(d1.min(n)) {
-            stage1(slot);
-        }
-        for slot in slice.iter().take(d2.min(n)) {
-            stage2(slot);
-        }
-        for i in 0..n {
-            if i + d1 < n {
-                stage1(&slice[i + d1]);
-            }
-            if i + d2 < n {
-                stage2(&slice[i + d2]);
-            }
-            if keep(&slice[i]) {
-                step(&mut slice[i], (base + i) as u32, acc);
-            }
-        }
-        return;
-    }
-
-    // Sorted path: gather a block-clustered visitation order first.
-    let gather_begin = Instant::now();
-    let mut pool = std::mem::take(&mut acc.pool);
-    pool.order.clear();
-    pool.order
-        .extend((0..slice.len() as u32).filter(|&i| keep(&slice[i as usize])));
-    // Stable: within a block, chunk order is preserved.
-    pool.order
-        .sort_by_key(|&i| slice[i as usize].walker.current >> BLOCK_SHIFT);
-    acc.obs
-        .record_gather_ns(gather_begin.elapsed().as_nanos() as u64);
-
-    let n = pool.order.len();
-    for k in 0..d1.min(n) {
-        stage1(&slice[pool.order[k] as usize]);
-    }
-    for k in 0..d2.min(n) {
-        stage2(&slice[pool.order[k] as usize]);
+    // One more slot than the lookahead, so `begin(i + d)` never lands on
+    // the entry `finish(i)` is about to read.
+    const RING: usize = (LOOKAHEAD + 1).next_power_of_two();
+    let mut ring = [Staged::Eager; RING];
+    let n = slice.len();
+    let d = rt.lookahead;
+    for j in 0..d.min(n) {
+        rt.prefetch_row(slice.get(j + d));
+        ring[j] = begin_step(rt, &mut slice[j]);
     }
     for i in 0..n {
-        if i + d1 < n {
-            stage1(&slice[pool.order[i + d1] as usize]);
+        if i + d < n {
+            rt.prefetch_row(slice.get(i + 2 * d));
+            ring[(i + d) % RING] = begin_step(rt, &mut slice[i + d]);
         }
-        if i + d2 < n {
-            stage2(&slice[pool.order[i + d2] as usize]);
-        }
-        let j = pool.order[i] as usize;
-        step(&mut slice[j], (base + j) as u32, acc);
+        finish(&mut slice[i], (base + i) as u32, ring[i % RING], acc);
     }
-    acc.pool = pool;
 }
 
 /// One vertex's rebuilt static sampling structures, stamped at the epoch
@@ -428,11 +374,12 @@ pub(crate) struct NodeRt<'a, P: WalkerProgram, O: WalkObserver<P::Data>> {
     pub(crate) me: usize,
     /// First vertex owned by this node.
     pub(crate) base: VertexId,
-    /// Alias tables for owned vertices (`None` for degree-0 vertices);
-    /// empty when the static component is uniform or the radix backend is
-    /// selected. Built at [`NodeRt::graph`]'s epoch; superseded per
-    /// vertex by `overrides`.
-    pub(crate) alias: Vec<Option<AliasTable>>,
+    /// Alias rows of the owned vertices, one cell per out-edge (a row
+    /// without mass has total `0.0`); no rows when the static component
+    /// is uniform or the radix backend is selected. Built at
+    /// [`NodeRt::graph`]'s epoch, so on a CSR graph cell `p` belongs to
+    /// edge `p` of the local slice; superseded per vertex by `overrides`.
+    pub(crate) alias: FlatAlias,
     /// Radix tables for owned vertices when `cfg.sampler` is
     /// [`SamplerBackend::Radix`] and the graph is weighted (`None` for
     /// degree-0 / zero-mass vertices). Serves biased candidate draws in
@@ -455,9 +402,17 @@ pub(crate) struct NodeRt<'a, P: WalkerProgram, O: WalkObserver<P::Data>> {
     /// Whether the radix backend is active (epoch-pinned config: chosen
     /// once at build, constant for the run).
     pub(crate) radix_on: bool,
+    /// The CSR whose rows `begin_step` stages: set for static programs
+    /// drawing alias or uniform candidates on a CSR graph, where no row
+    /// can be overridden. Everything else steps eagerly in `finish_step`.
+    staged: Option<&'a CsrGraph>,
+    /// Distance `begin_step` runs ahead of `finish_step` ([`LOOKAHEAD`];
+    /// 0 on the identity tests' reference path).
+    lookahead: usize,
 }
 
 /// What one local sampling attempt decided.
+#[derive(Clone, Copy)]
 pub(crate) enum StepOutcome {
     /// Walk over (termination, dead end, or zero probability mass).
     Finished,
@@ -471,8 +426,9 @@ pub(crate) enum StepOutcome {
 }
 
 impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
-    /// Builds the per-node runtime, including alias tables for owned
-    /// vertices (parallel over the scheduler).
+    /// Builds the per-node runtime, including alias rows for owned
+    /// vertices (filled in place, in parallel over vertex ranges).
+    #[allow(clippy::too_many_arguments)]
     fn build(
         graph: GraphRef<'a>,
         program: &'a P,
@@ -481,6 +437,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         cfg: &'a WalkConfig,
         me: usize,
         scheduler: &Scheduler,
+        lookahead: usize,
     ) -> Self {
         let range = partition.range(me);
         let base = range.start;
@@ -488,46 +445,49 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         let biased = cfg.decoupled_static && graph.is_weighted();
         let radix_on = cfg.sampler == SamplerBackend::Radix && graph.is_weighted();
 
-        let alias = if biased && !radix_on {
-            let mut locals: Vec<VertexId> = (range.start..range.end).collect();
-            let tables = scheduler.run_chunks(
-                &mut locals,
-                Vec::new,
-                |_base, slice, acc: &mut Vec<Option<AliasTable>>| {
-                    for &v in slice.iter() {
-                        let deg = graph.degree(v);
-                        if deg == 0 {
-                            acc.push(None);
-                        } else {
-                            let mut weights: Vec<f64> = Vec::with_capacity(deg);
-                            graph
-                                .for_each_edge(v, |e| weights.push(program.static_comp(&graph, e)));
-                            acc.push(AliasTable::new(&weights).ok());
-                        }
-                    }
-                },
-            );
-            tables.into_iter().flatten().collect()
+        let alias_rows = if biased && !radix_on {
+            range.clone()
         } else {
-            Vec::new()
+            base..base
+        };
+        let mut alias = FlatAlias::with_row_lens(alias_rows.map(|v| graph.degree(v)));
+        // One task per block of rows, whatever the walker chunk size.
+        let blocks = Scheduler {
+            chunk_size: 1,
+            light_threshold: 0,
+            ..*scheduler
+        };
+        blocks.run_chunks(
+            &mut alias.row_blocks_mut(ALIAS_BLOCK_ROWS),
+            || (Vec::new(), VoseScratch::default()),
+            |_, block, (weights, scratch): &mut (Vec<f64>, VoseScratch)| {
+                let block = &mut block[0];
+                for k in 0..block.rows() {
+                    let v = base + (block.first_row + k) as VertexId;
+                    static_weights(program, graph, v, weights);
+                    block.fill(k, weights, scratch);
+                }
+            },
+        );
+        let staged = match graph {
+            GraphRef::Csr(csr) if !P::DYNAMIC && !radix_on => {
+                // `begin_step` addresses alias cells by edge position.
+                assert!(!biased || alias.cells() == csr.edge_count());
+                Some(csr)
+            }
+            _ => None,
         };
 
         let radix = if radix_on {
-            let mut locals: Vec<VertexId> = (range.start..range.end).collect();
+            let mut locals: Vec<VertexId> = range.clone().collect();
             let tables = scheduler.run_chunks(
                 &mut locals,
                 Vec::new,
                 |_base, slice, acc: &mut Vec<Option<RadixTable>>| {
+                    let mut weights = Vec::new();
                     for &v in slice.iter() {
-                        let deg = graph.degree(v);
-                        if deg == 0 {
-                            acc.push(None);
-                        } else {
-                            let mut weights: Vec<f64> = Vec::with_capacity(deg);
-                            graph
-                                .for_each_edge(v, |e| weights.push(program.static_comp(&graph, e)));
-                            acc.push(RadixTable::new(&weights).ok());
-                        }
+                        static_weights(program, graph, v, &mut weights);
+                        acc.push(RadixTable::new(&weights).ok());
                     }
                 },
             );
@@ -563,6 +523,8 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
             overrides: HashMap::new(),
             biased,
             radix_on,
+            staged,
+            lookahead,
         }
     }
 
@@ -598,6 +560,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         }
         let mut rebuilt = 0u64;
         let mut cost = 0u64;
+        let mut weights = Vec::new();
         let g = self.graph.at(epoch);
         // Vertices with structural edits cannot be patched in place.
         let structural: std::collections::HashSet<VertexId> = batch
@@ -622,10 +585,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
                     // merged row is index-stable under reweights, and a
                     // reweight hits every live parallel (v, dst) instance —
                     // exactly `edge_range(v, dst)` at the new epoch.
-                    let prev = match self.override_at(local, epoch) {
-                        Some(entry) => entry.radix.clone(),
-                        None => self.radix.get(local as usize).cloned().flatten(),
-                    };
+                    let prev = self.radix_at(local, epoch).cloned();
                     prev.filter(|t| t.len() == deg).map(|mut table| {
                         for r in batch.reweights.iter().filter(|r| r.src == v) {
                             for i in g.edge_range(v, r.dst) {
@@ -636,16 +596,11 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
                         table
                     })
                 };
-                let radix = match radix {
-                    Some(table) => Some(table),
-                    None if deg > 0 => {
-                        let mut weights: Vec<f64> = Vec::with_capacity(deg);
-                        g.for_each_edge(v, |e| weights.push(self.program.static_comp(&g, e)));
-                        cost += deg as u64;
-                        RadixTable::new(&weights).ok()
-                    }
-                    None => None,
-                };
+                let radix = radix.or_else(|| {
+                    static_weights(self.program, g, v, &mut weights);
+                    cost += deg as u64;
+                    RadixTable::new(&weights).ok()
+                });
                 self.overrides.entry(local).or_default().push((
                     epoch,
                     SamplerEntry {
@@ -658,9 +613,8 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
                 continue;
             }
 
-            let alias = if self.biased && deg > 0 {
-                let mut weights: Vec<f64> = Vec::with_capacity(deg);
-                g.for_each_edge(v, |e| weights.push(self.program.static_comp(&g, e)));
+            let alias = if self.biased {
+                static_weights(self.program, g, v, &mut weights);
                 AliasTable::new(&weights).ok()
             } else {
                 None
@@ -710,6 +664,15 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
             .map(|(_, e)| e)
     }
 
+    /// The radix table in effect for `local` at `epoch` (radix backend).
+    #[inline]
+    fn radix_at(&self, local: u32, epoch: u64) -> Option<&RadixTable> {
+        match self.override_at(local, epoch) {
+            Some(entry) => entry.radix.as_ref(),
+            None => self.radix[local as usize].as_ref(),
+        }
+    }
+
     /// Static component of an edge, as the program defines it, against
     /// the pinned graph view `g`.
     #[inline]
@@ -730,11 +693,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         if self.biased {
             let local = v - self.base;
             if self.radix_on {
-                let table = match self.override_at(local, epoch) {
-                    Some(entry) => entry.radix.as_ref(),
-                    None => self.radix[local as usize].as_ref(),
-                };
-                return match table {
+                return match self.radix_at(local, epoch) {
                     Some(table) => table.sample(rng),
                     // Zero static mass: callers gate on `static_total`
                     // (decoupled) or `Envelope::total_area` before
@@ -742,13 +701,12 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
                     None => unreachable!("candidate drawn at zero-mass vertex {v}"),
                 };
             }
-            let table = match self.override_at(local, epoch) {
-                Some(entry) => entry.alias.as_ref(),
-                None => self.alias[local as usize].as_ref(),
-            };
-            match table {
-                Some(table) => table.sample(rng),
-                None => unreachable!("candidate drawn at zero-mass vertex {v}"),
+            match self.override_at(local, epoch) {
+                Some(entry) => match &entry.alias {
+                    Some(table) => table.sample(rng),
+                    None => unreachable!("candidate drawn at zero-mass vertex {v}"),
+                },
+                None => self.alias.sample(local as usize, rng),
             }
         } else {
             rng.next_index(deg)
@@ -766,73 +724,42 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         if self.biased {
             let local = v - self.base;
             if self.radix_on {
-                let table = match self.override_at(local, epoch) {
-                    Some(entry) => entry.radix.as_ref(),
-                    None => self.radix[local as usize].as_ref(),
-                };
-                return table.map_or(0.0, |t| t.total_weight());
+                return self
+                    .radix_at(local, epoch)
+                    .map_or(0.0, |t| t.total_weight());
             }
-            let table = match self.override_at(local, epoch) {
-                Some(entry) => entry.alias.as_ref(),
-                None => self.alias[local as usize].as_ref(),
-            };
-            table.map_or(0.0, |t| t.total_weight())
+            match self.override_at(local, epoch) {
+                Some(entry) => entry.alias.as_ref().map_or(0.0, |t| t.total_weight()),
+                None => self.alias.total(local as usize),
+            }
         } else {
             deg as f64
         }
     }
 
-    /// First-level sampler prefetch for a walker about to step at `v`:
-    /// warms the `Option<AliasTable>` slot (biased runs) or the `max_ps`
-    /// cell (mixed mode). Pure hint — reads nothing.
+    /// Owner of `v`. Single-node runs own everything, so the partition's
+    /// range check and boundary search are skipped.
     #[inline]
-    pub(crate) fn prefetch_sampler(&self, v: VertexId) {
-        let local = v.wrapping_sub(self.base) as usize;
-        if self.radix_on {
-            if let Some(entry) = self.radix.get(local) {
-                knightking_sampling::prefetch::read(entry);
-            }
-        } else if self.biased {
-            if let Some(entry) = self.alias.get(local) {
-                knightking_sampling::prefetch::read(entry);
-            }
-        } else if !self.cfg.decoupled_static {
-            if let Some(m) = self.max_ps.get(local) {
-                knightking_sampling::prefetch::read(m);
-            }
+    pub(crate) fn owner(&self, v: VertexId) -> usize {
+        if self.cfg.n_nodes == 1 {
+            0
+        } else {
+            self.partition.owner(v)
         }
     }
 
-    /// Second-level sampler prefetch: reads the (already-warmed) table
-    /// slot and prefetches the table's hot arrays — the alias
-    /// `prob`/`alias` pair, or the radix slab tree's head plus the leaf
-    /// region the descent and acceptance test will read. The read touches
-    /// only immutable sampler metadata, so issuing it early cannot change
-    /// results. No-op for uniform alias runs (alias mixed mode has no
-    /// second level).
+    /// Hints the row bounds and alias total of the vertex `slot`'s walker
+    /// resides at — what `begin_step` reads first, one lookahead later.
+    /// No-op off the staged path.
     #[inline]
-    pub(crate) fn prefetch_sampler_deep(&self, v: VertexId, epoch: u64) {
-        let local = v.wrapping_sub(self.base);
-        if self.radix_on {
-            let table = match self.override_at(local, epoch) {
-                Some(entry) => entry.radix.as_ref(),
-                None => self.radix.get(local as usize).and_then(|t| t.as_ref()),
-            };
-            if let Some(table) = table {
-                table.prefetch();
-                table.prefetch_leaves();
+    fn prefetch_row(&self, slot: Option<&Slot<P>>) {
+        if let (Some(csr), Some(slot)) = (self.staged, slot) {
+            let v = slot.walker.current;
+            csr.prefetch_row_bounds(v);
+            if self.biased {
+                self.alias
+                    .prefetch_total(v.wrapping_sub(self.base) as usize);
             }
-            return;
-        }
-        if !self.biased {
-            return;
-        }
-        let table = match self.override_at(local, epoch) {
-            Some(entry) => entry.alias.as_ref(),
-            None => self.alias.get(local as usize).and_then(|t| t.as_ref()),
-        };
-        if let Some(table) = table {
-            table.prefetch();
         }
     }
 
@@ -848,11 +775,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
     fn max_ps_at(&self, v: VertexId, epoch: u64) -> f64 {
         let local = v - self.base;
         if self.radix_on {
-            let table = match self.override_at(local, epoch) {
-                Some(entry) => entry.radix.as_ref(),
-                None => self.radix[local as usize].as_ref(),
-            };
-            return table.map_or(0.0, |t| t.max_slab());
+            return self.radix_at(local, epoch).map_or(0.0, |t| t.max_slab());
         }
         match self.override_at(local, epoch) {
             Some(entry) => entry.max_ps,
@@ -992,7 +915,7 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         acc.metrics.steps += 1;
         self.observer.on_move(&mut acc.obs_acc, &slot.walker);
         self.record(acc, &slot.walker);
-        let owner = self.partition.owner(dst);
+        let owner = self.owner(dst);
         if owner == self.me {
             slot.state = SlotState::fresh();
             true
@@ -1005,20 +928,19 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
     }
 }
 
+/// Collects `Ps` of every out-edge of `v`, in edge order, into `out` —
+/// the weights a sampler table for `v` is built from.
+fn static_weights<P: WalkerProgram>(program: &P, g: GraphRef<'_>, v: VertexId, out: &mut Vec<f64>) {
+    out.clear();
+    g.for_each_edge(v, |e| out.push(program.static_comp(&g, e)));
+}
+
 /// Output of one node's run.
 struct NodeOut {
     paths: Vec<PathEntry>,
     metrics: WalkMetrics,
     active_series: Vec<u64>,
     profile: instrument::NodeProfileOut,
-}
-
-/// True wire size of one message: exactly what [`Wire::encode`] would
-/// emit. `size_of::<Msg<P>>()` would charge every message the largest
-/// variant's footprint (a `Move` carrying walker data), badly overstating
-/// the small `Query`/`Answer` traffic of second-order walks.
-pub(crate) fn msg_wire_bytes<P: WalkerProgram>(msg: &Msg<P>) -> usize {
-    msg.wire_size()
 }
 
 /// The engine: a graph, a program, and a configuration.
@@ -1028,6 +950,8 @@ pub struct RandomWalkEngine<'g, P: WalkerProgram> {
     pub(crate) graph: GraphRef<'g>,
     pub(crate) program: P,
     pub(crate) config: WalkConfig,
+    /// Lookahead of the staged step kernel ([`LOOKAHEAD`] outside tests).
+    pub(crate) lookahead: usize,
 }
 
 impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
@@ -1042,7 +966,18 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
             graph: graph.into(),
             program,
             config,
+            lookahead: LOOKAHEAD,
         }
+    }
+
+    /// The reference schedule of the staged step kernel: every walker's
+    /// step begins and finishes before the next walker's begins. Results
+    /// are byte-identical to the default schedule; the identity tests
+    /// hold the engine to that.
+    #[doc(hidden)]
+    pub fn lookahead0(mut self) -> Self {
+        self.lookahead = 0;
+        self
     }
 
     /// Access the configuration.
@@ -1188,6 +1123,7 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                 cfg,
                 me,
                 &scheduler,
+                self.lookahead,
             )
         });
 
@@ -1401,6 +1337,24 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
     }
 }
 
+/// Opens a superstep over `n_slots` walkers: records it in the profile
+/// and returns the phase its compute is timed under (light mode is its
+/// own phase) with the chunks' recording context.
+pub(crate) fn open_superstep(
+    scheduler: &Scheduler,
+    n_slots: usize,
+    prof: &mut NodeObs,
+) -> (Phase, ChunkCtx) {
+    let light = scheduler.is_light(n_slots);
+    prof.superstep(n_slots as u64, scheduler.chunk_count(n_slots) as u64, light);
+    let phase = if light {
+        Phase::LightMode
+    } else {
+        Phase::LocalCompute
+    };
+    (phase, prof.chunk_ctx())
+}
+
 /// Merges chunk accumulators into node-level buffers and returns the
 /// combined outbox. Chunk instrumentation is absorbed here too — in chunk
 /// order, so profiles inherit the scheduler's determinism contract.
@@ -1435,15 +1389,103 @@ pub(crate) fn merge_accs<P: WalkerProgram, O: WalkObserver<P::Data>>(
     outbox
 }
 
-/// Shared helper: runs one *local* sampling decision for a walker
-/// (everything except remote-answer cases). Used directly by the
-/// first-order path, and by the second-order path until a query is
-/// needed. `slot_idx` is the walker's index in the node's slot vector,
-/// used to address query answers back to it.
+/// The once-per-step checks that precede sampling: the termination
+/// component `Pe`, then the program's teleport. `Some` ends the step.
+#[inline]
+fn step_prelude<P: WalkerProgram>(
+    program: &P,
+    graph: GraphRef<'_>,
+    walker: &mut Walker<P::Data>,
+) -> Option<StepOutcome> {
+    if program.should_terminate(walker) {
+        return Some(StepOutcome::Finished);
+    }
+    let dst = program.teleport(&graph, walker)?;
+    // Restart-style jump: no edge traversed, no sampling.
+    assert!(
+        (dst as usize) < graph.vertex_count(),
+        "teleport destination {dst} out of range"
+    );
+    Some(StepOutcome::Moved(dst))
+}
+
+/// First half of a step. On the staged path (see [`NodeRt::staged`]) it
+/// runs everything up to the memory the RNG chooses — prelude, degree and
+/// zero-mass checks, the draw itself, in the RNG order of `local_step` —
+/// and hints that memory; `finish_step` reads it. Touches nothing but the
+/// slot's own walker.
+#[inline]
+fn begin_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    rt: &NodeRt<'_, P, O>,
+    slot: &mut Slot<P>,
+) -> Staged {
+    // Distributed-memory discipline: a node only ever samples at vertices
+    // it owns. The CSR is shared for simulation convenience, but every
+    // access in the walk path must stay partition-local.
+    debug_assert_eq!(
+        rt.owner(slot.walker.current),
+        rt.me,
+        "walker resides on a vertex this node does not own"
+    );
+    let (Some(csr), SlotState::Active { fresh, .. }) = (rt.staged, &slot.state) else {
+        return Staged::Eager;
+    };
+    if *fresh {
+        if let Some(done) = step_prelude(rt.program, GraphRef::Csr(csr), &mut slot.walker) {
+            return Staged::Done(done);
+        }
+    }
+    let v = slot.walker.current;
+    let (lo, deg) = csr.row(v);
+    if deg == 0 {
+        return Staged::Done(StepOutcome::Finished);
+    }
+    if !rt.biased {
+        let pos = lo + slot.walker.rng.next_index(deg);
+        csr.prefetch_target(pos);
+        return Staged::Uniform { pos };
+    }
+    // A row without static mass has no edge to draw: the walk ends there,
+    // exactly as the full-scan fallback decides.
+    if rt.alias.total((v - rt.base) as usize) <= 0.0 {
+        return Staged::Done(StepOutcome::Finished);
+    }
+    let (bucket, coin) = alias::draw_cell(deg, &mut slot.walker.rng);
+    rt.alias.prefetch_cell(lo + bucket);
+    csr.prefetch_target(lo + bucket);
+    Staged::Alias { lo, bucket, coin }
+}
+
+/// Second half of a step: resolves what `begin_step` staged, or runs the
+/// whole step when nothing was. `slot_idx` is the walker's index in the
+/// node's slot vector, used to address query answers back to it.
+#[inline]
+pub(crate) fn finish_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    rt: &NodeRt<'_, P, O>,
+    slot: &mut Slot<P>,
+    slot_idx: u32,
+    staged: Staged,
+    acc: &mut ChunkAcc<P, O>,
+) -> StepOutcome {
+    let target = |pos| rt.staged.expect("staged on a CSR").target(pos);
+    match staged {
+        Staged::Eager => local_step(rt, slot, slot_idx, acc),
+        Staged::Done(outcome) => outcome,
+        Staged::Alias { lo, bucket, coin } => {
+            StepOutcome::Moved(target(lo + rt.alias.resolve_at(lo, bucket, coin)))
+        }
+        Staged::Uniform { pos } => StepOutcome::Moved(target(pos)),
+    }
+}
+
+/// The eager step: one *local* sampling decision for a walker, start to
+/// end (everything except remote-answer cases). Rejection-sampled and
+/// second-order programs, the radix backend and dynamic graphs all step
+/// here.
 ///
-/// When the walker is `fresh`, the termination component is checked first
-/// (once per step, not per trial).
-pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
+/// When the walker is `fresh`, the prelude runs first (once per step, not
+/// per trial).
+fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     slot_idx: u32,
@@ -1451,28 +1493,12 @@ pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
 ) -> StepOutcome {
     // All graph reads in this step resolve at the walker's pinned epoch.
     let graph = rt.graph.at(slot.walker.epoch);
-    // Distributed-memory discipline: a node only ever samples at vertices
-    // it owns. The CSR is shared for simulation convenience, but every
-    // access in the walk path must stay partition-local.
-    debug_assert_eq!(
-        rt.partition.owner(slot.walker.current),
-        rt.me,
-        "walker resides on a vertex this node does not own"
-    );
     let SlotState::Active { fresh, stuck } = slot.state else {
         unreachable!("local_step requires an Active slot")
     };
     if fresh {
-        if rt.program.should_terminate(&mut slot.walker) {
-            return StepOutcome::Finished;
-        }
-        if let Some(dst) = rt.program.teleport(&graph, &mut slot.walker) {
-            // Restart-style jump: no edge traversed, no sampling.
-            assert!(
-                (dst as usize) < graph.vertex_count(),
-                "teleport destination {dst} out of range"
-            );
-            return StepOutcome::Moved(dst);
+        if let Some(done) = step_prelude(rt.program, graph, &mut slot.walker) {
+            return done;
         }
         slot.state = SlotState::Active {
             fresh: false,
@@ -1507,7 +1533,7 @@ pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
         let Some(dart) = acc.env.draw(&mut slot.walker.rng) else {
             return StepOutcome::Finished;
         };
-        match dart {
+        let (idx, edge, y) = match dart {
             knightking_sampling::Trial::Main { y } => {
                 let idx = rt.candidate(v, deg, slot.walker.epoch, &mut slot.walker.rng);
                 let edge = graph.edge(v, idx);
@@ -1515,27 +1541,7 @@ pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
                     acc.metrics.pre_accepts += 1;
                     return StepOutcome::Moved(edge.dst);
                 }
-                if P::SECOND_ORDER {
-                    if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
-                        post_query(
-                            rt,
-                            acc,
-                            slot_idx,
-                            target,
-                            idx as u32,
-                            slot.walker.epoch,
-                            payload,
-                        );
-                        return StepOutcome::Posted {
-                            edge: idx as u32,
-                            y,
-                        };
-                    }
-                }
-                let pd = rt.pd(&slot.walker, edge, None, &mut acc.metrics);
-                if y < pd {
-                    return StepOutcome::Moved(edge.dst);
-                }
+                (idx, edge, y)
             }
             knightking_sampling::Trial::Appendix { index, x_mass, y } => {
                 acc.metrics.appendix_hits += 1;
@@ -1557,28 +1563,22 @@ pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
                 let Some((idx, edge)) = chosen else {
                     continue;
                 };
-                if P::SECOND_ORDER {
-                    if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
-                        post_query(
-                            rt,
-                            acc,
-                            slot_idx,
-                            target,
-                            idx as u32,
-                            slot.walker.epoch,
-                            payload,
-                        );
-                        return StepOutcome::Posted {
-                            edge: idx as u32,
-                            y,
-                        };
-                    }
-                }
-                let pd = rt.pd(&slot.walker, edge, None, &mut acc.metrics);
-                if y < pd {
-                    return StepOutcome::Moved(edge.dst);
-                }
+                (idx, edge, y)
             }
+        };
+        if P::SECOND_ORDER {
+            if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
+                let epoch = slot.walker.epoch;
+                post_query(rt, acc, slot_idx, target, idx as u32, epoch, payload);
+                return StepOutcome::Posted {
+                    edge: idx as u32,
+                    y,
+                };
+            }
+        }
+        let pd = rt.pd(&slot.walker, edge, None, &mut acc.metrics);
+        if y < pd {
+            return StepOutcome::Moved(edge.dst);
         }
     }
 
@@ -1587,6 +1587,22 @@ pub(crate) fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
     } else {
         rt.local_full_scan(&mut slot.walker, deg, acc)
     }
+}
+
+/// Ends a walk: marks the slot finished and reports the walker, tagged
+/// with its request, for serve mode to route.
+pub(crate) fn finish_walk<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    slot: &mut Slot<P>,
+    acc: &mut ChunkAcc<P, O>,
+) {
+    acc.metrics.finished_walkers += 1;
+    slot.state = SlotState::Finished;
+    acc.obs.walk_finished(slot.walker.step as u64);
+    acc.finished.push(FinishedWalk {
+        tag: slot.walker.tag,
+        walker: slot.walker.id,
+        steps: slot.walker.step,
+    });
 }
 
 /// Emits a state query message addressed to the owner of `target`,
@@ -1602,7 +1618,7 @@ pub(crate) fn post_query<P: WalkerProgram, O: WalkObserver<P::Data>>(
     payload: P::Query,
 ) {
     acc.metrics.queries += 1;
-    let owner = rt.partition.owner(target);
+    let owner = rt.owner(target);
     acc.outbox[owner].push(Msg::Query {
         from: rt.me as u32,
         slot: slot_idx,

@@ -24,20 +24,20 @@
 //! detected without sacrificing exactness.
 
 use knightking_cluster::Scheduler;
-use knightking_net::Transport;
+use knightking_net::{Transport, Wire};
 use knightking_sampling::CdfTable;
 
 use crate::{
-    config::StepEngine,
     metrics::WalkMetrics,
     program::{WalkObserver, WalkerProgram},
     result::PathEntry,
 };
 
 use super::{
+    finish_step, finish_walk,
     instrument::{NodeObs, Phase},
-    local_step, merge_accs, msg_wire_bytes, post_query, run_chunk_interleaved, ChunkAcc,
-    FinishedWalk, FullScanState, Msg, NodeRt, Slot, SlotState, StepOutcome, FULL_SCAN_WINDOW,
+    merge_accs, open_superstep, post_query, run_chunk, ChunkAcc, FinishedWalk, FullScanState, Msg,
+    NodeRt, Slot, SlotState, Staged, StepOutcome, FULL_SCAN_WINDOW,
 };
 
 /// Runs one second-order BSP iteration on this node.
@@ -54,19 +54,7 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     prof: &mut NodeObs,
 ) {
     let n = ctx.n_nodes();
-
-    let light = scheduler.is_light(slots.len());
-    prof.superstep(
-        slots.len() as u64,
-        scheduler.chunk_count(slots.len()) as u64,
-        light,
-    );
-    let compute_phase = if light {
-        Phase::LightMode
-    } else {
-        Phase::LocalCompute
-    };
-    let obs_ctx = prof.chunk_ctx();
+    let (compute_phase, obs_ctx) = open_superstep(scheduler, slots.len(), prof);
 
     // ---- Phase A: candidates, screening, queries (steps 1-2). ----
     let accs = prof.time(compute_phase, || {
@@ -74,37 +62,19 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
             slots,
             || ChunkAcc::new(n, rt.observer, obs_ctx),
             |base, slice, acc| {
-                let handle = |slot: &mut Slot<P>, idx: u32, acc: &mut ChunkAcc<P, O>| {
+                run_chunk(rt, slice, base, acc, |slot, idx, staged, acc| {
                     if matches!(slot.state, SlotState::Active { .. }) {
-                        phase_a_active(rt, slot, idx, acc);
+                        phase_a_active(rt, slot, idx, staged, acc);
                     } else if matches!(slot.state, SlotState::FullScan(_)) {
                         post_scan_queries(rt, slot, idx, acc);
                     } else {
                         unreachable!("awaiting/departed/finished slots cannot start an iteration")
                     }
-                };
-                match rt.cfg.step_engine {
-                    StepEngine::Scalar => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            handle(slot, (base + i) as u32, acc);
-                        }
-                    }
-                    // No block sort: answers address slots positionally,
-                    // and reordering would also reorder posted queries.
-                    engine @ StepEngine::Interleaved { .. } => run_chunk_interleaved(
-                        rt,
-                        slice,
-                        base,
-                        acc,
-                        engine.ring(),
-                        false,
-                        |_| true,
-                        handle,
-                    ),
-                }
+                })
             },
         )
     });
+    let finished_before = finished.len();
     let outbox = merge_accs(
         rt.observer,
         accs,
@@ -117,8 +87,9 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     );
 
     // ---- Exchange 1: queries out, early moves along for the ride. ----
+    let mut any_left = outbox.iter().any(|o| !o.is_empty());
     let (inbox, q_stats) = prof.time(Phase::QueryRound, || {
-        ctx.exchange_with_stats(outbox, &msg_wire_bytes::<P>)
+        ctx.exchange_with_stats(outbox, &Msg::<P>::wire_size)
     });
     prof.record_exchange_bytes(q_stats.sent_bytes);
     let mut arrivals: Vec<Slot<P>> = Vec::new();
@@ -147,21 +118,7 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
             &mut queries,
             || -> Vec<Vec<Msg<P>>> { (0..n).map(|_| Vec::new()).collect() },
             |_base, slice, acc| {
-                // Same two-distance lookahead as the walker pipeline:
-                // query targets arrive in partition-random order, so each
-                // one's adjacency row is a likely miss.
-                let d1 = rt.cfg.step_engine.ring();
-                let d2 = (d1 / 2).max(1);
-                for k in 0..slice.len() {
-                    if d1 > 0 {
-                        if let Some(&(_, _, _, t, _, _)) = slice.get(k + d1) {
-                            rt.graph.prefetch_row_bounds(t);
-                        }
-                        if let Some(&(_, _, _, t, ep, _)) = slice.get(k + d2) {
-                            rt.graph.at(ep).prefetch_row_payload(t);
-                        }
-                    }
-                    let (from, slot, tag, target, epoch, payload) = slice[k];
+                for &mut (from, slot, tag, target, epoch, payload) in slice {
                     debug_assert_eq!(rt.partition.owner(target), rt.me);
                     // Answer against the asking walker's snapshot, not
                     // this node's build epoch.
@@ -187,7 +144,7 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
 
     // ---- Exchange 2 + step 4: answers come back. ----
     let (answers, a_stats) = prof.time(Phase::AnswerRound, || {
-        ctx.exchange_with_stats(answer_outbox, &msg_wire_bytes::<P>)
+        ctx.exchange_with_stats(answer_outbox, &Msg::<P>::wire_size)
     });
     prof.record_exchange_bytes(a_stats.sent_bytes);
     prof.time(Phase::AnswerRound, || {
@@ -213,8 +170,8 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         scheduler.run_chunks(
             slots,
             || ChunkAcc::new(n, rt.observer, obs_ctx),
-            |base, slice, acc| {
-                let handle = |slot: &mut Slot<P>, _idx: u32, acc: &mut ChunkAcc<P, O>| {
+            |_base, slice, acc| {
+                for slot in slice {
                     let answered = match &slot.state {
                         SlotState::Awaiting {
                             edge,
@@ -248,26 +205,6 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
                     } else if matches!(slot.state, SlotState::FullScan(_)) {
                         fold_scan_answers(rt, slot, acc);
                     }
-                };
-                match rt.cfg.step_engine {
-                    StepEngine::Scalar => {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            handle(slot, (base + i) as u32, acc);
-                        }
-                    }
-                    // Only slots with phase-B work enter the pool; the
-                    // scalar loop's visits to departed/finished slots are
-                    // no-ops, so skipping them is identical.
-                    engine @ StepEngine::Interleaved { .. } => run_chunk_interleaved(
-                        rt,
-                        slice,
-                        base,
-                        acc,
-                        engine.ring(),
-                        false,
-                        |s| matches!(s.state, SlotState::Awaiting { .. } | SlotState::FullScan(_)),
-                        handle,
-                    ),
                 }
             },
         )
@@ -284,8 +221,9 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     );
 
     // ---- Exchange 3: late moves. ----
+    any_left |= finished.len() > finished_before || outbox.iter().any(|o| !o.is_empty());
     let (inbox, m_stats) = prof.time(Phase::Exchange, || {
-        ctx.exchange_with_stats(outbox, &msg_wire_bytes::<P>)
+        ctx.exchange_with_stats(outbox, &Msg::<P>::wire_size)
     });
     prof.record_exchange_bytes(m_stats.sent_bytes);
     for msg in inbox {
@@ -298,7 +236,11 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         }
     }
 
-    slots.retain(|s| !matches!(s.state, SlotState::Departed | SlotState::Finished));
+    // As in the first-order path: a superstep in which nothing finished
+    // and nothing was sent has no slot to drop.
+    if any_left {
+        slots.retain(|s| !matches!(s.state, SlotState::Departed | SlotState::Finished));
+    }
     slots.append(&mut arrivals);
 }
 
@@ -308,6 +250,7 @@ fn phase_a_active<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     idx: u32,
+    staged: Staged,
     acc: &mut ChunkAcc<P, O>,
 ) {
     let SlotState::Active { stuck, .. } = slot.state else {
@@ -319,17 +262,8 @@ fn phase_a_active<P: WalkerProgram, O: WalkObserver<P::Data>>(
         return;
     }
     let trials_before = acc.metrics.trials;
-    match local_step(rt, slot, idx, acc) {
-        StepOutcome::Finished => {
-            acc.metrics.finished_walkers += 1;
-            slot.state = SlotState::Finished;
-            acc.obs.walk_finished(slot.walker.step as u64);
-            acc.finished.push(FinishedWalk {
-                tag: slot.walker.tag,
-                walker: slot.walker.id,
-                steps: slot.walker.step,
-            });
-        }
+    match finish_step(rt, slot, idx, staged, acc) {
+        StepOutcome::Finished => finish_walk(slot, acc),
         StepOutcome::Moved(dst) => {
             rt.commit_move(slot, dst, acc);
         }
@@ -472,14 +406,7 @@ fn fold_scan_answers<P: WalkerProgram, O: WalkObserver<P::Data>>(
         acc.cdf_scratch.push(run);
     }
     if run <= 0.0 {
-        acc.metrics.finished_walkers += 1;
-        acc.obs.walk_finished(slot.walker.step as u64);
-        acc.finished.push(FinishedWalk {
-            tag: slot.walker.tag,
-            walker: slot.walker.id,
-            steps: slot.walker.step,
-        });
-        slot.state = SlotState::Finished;
+        finish_walk(slot, acc);
         return;
     }
     let idx = CdfTable::sample_prepared(&acc.cdf_scratch, &mut slot.walker.rng);

@@ -51,7 +51,9 @@ use crate::{
 };
 
 use super::{
-    first_order, instrument::NodeObs, second_order, Msg, NodeRt, RandomWalkEngine, Slot, SlotState,
+    first_order,
+    instrument::{NodeObs, N_PHASES},
+    second_order, Msg, NodeRt, RandomWalkEngine, Slot, SlotState,
 };
 
 /// A walker that terminated, reported to the leader so it can complete
@@ -288,10 +290,9 @@ pub struct LiveSample {
     pub stitch_fallback_steps: u64,
     /// Cumulative nanoseconds per engine phase (the `knightking-obs`
     /// phase taxonomy, index order; all zeros when the engine was built
-    /// without the `obs` feature). Ten slots since the taxonomy gained
-    /// `gather` and `commit` — a wire-format change, so all ranks of a
-    /// cluster must run the same build.
-    pub phase_ns: [u64; 10],
+    /// without the `obs` feature). The slot count is part of the wire
+    /// format, so all ranks of a cluster must run the same build.
+    pub phase_ns: [u64; N_PHASES],
 }
 
 impl Wire for LiveSample {
@@ -323,7 +324,7 @@ impl Wire for LiveSample {
         let segments_spliced = u64::decode(input)?;
         let stitch_pool_dry = u64::decode(input)?;
         let stitch_fallback_steps = u64::decode(input)?;
-        let mut phase_ns = [0u64; 10];
+        let mut phase_ns = [0u64; N_PHASES];
         for ns in &mut phase_ns {
             *ns = u64::decode(input)?;
         }
@@ -638,6 +639,7 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
             cfg,
             me,
             &scheduler,
+            self.lookahead,
         );
 
         let mut slots: Vec<Slot<P>> = Vec::new();
@@ -973,7 +975,7 @@ mod tests {
                 segments_spliced: 13,
                 stitch_pool_dry: 2,
                 stitch_fallback_steps: 6,
-                phase_ns: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+                phase_ns: [1, 2, 3, 4, 5, 6, 7, 8, 9],
             },
         };
         let bytes = to_bytes(&delta).unwrap();

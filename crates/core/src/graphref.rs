@@ -171,36 +171,6 @@ impl<'g> GraphRef<'g> {
         }
     }
 
-    /// Hints the CPU to warm the CSR offsets entry of `v` — the first
-    /// cache line the next step of a walker at `v` will touch. Purely a
-    /// performance hint: never reads graph data, never faults, never
-    /// blocks (the dynamic path prefetches the lock-free base only at
-    /// this distance).
-    #[inline]
-    pub fn prefetch_row_bounds(self, v: VertexId) {
-        match self {
-            GraphRef::Csr(g) => g.prefetch_row_bounds(v),
-            GraphRef::Dyn { graph, .. } => graph.base().prefetch_row_bounds(v),
-        }
-    }
-
-    /// Hints the CPU to warm the adjacency payload of `v`: edge targets
-    /// and weights on the static path, plus the overlay row (via a
-    /// non-blocking `try_read`) on the dynamic path. Reads only immutable
-    /// row *bounds* — issuing it early never changes results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range (same contract as
-    /// [`degree`](GraphRef::degree)).
-    #[inline]
-    pub fn prefetch_row_payload(self, v: VertexId) {
-        match self {
-            GraphRef::Csr(g) => g.prefetch_row_payload(v),
-            GraphRef::Dyn { graph, epoch } => graph.prefetch_row_at(v, epoch),
-        }
-    }
-
     /// Walks the out-edges of `v` in index order. One virtual-free lock
     /// acquisition per vertex on the dynamic path, against per-edge
     /// resolution with [`edge`](GraphRef::edge).
@@ -264,23 +234,6 @@ mod tests {
         assert!(r.dyn_graph().is_none());
         // at() is a no-op for CSR graphs.
         assert_eq!(r.at(99).epoch(), 0);
-    }
-
-    #[test]
-    fn prefetch_hints_are_inert() {
-        let g = base();
-        let r = GraphRef::from(&g);
-        r.prefetch_row_bounds(0);
-        r.prefetch_row_payload(2);
-        // Out-of-range bounds prefetch must not fault (it is issued at a
-        // longer lookahead distance than the payload prefetch, before the
-        // walker is known to be live).
-        r.prefetch_row_bounds(999);
-        let d = DynGraph::new(base(), DynConfig::default());
-        let rd = GraphRef::from(&d);
-        rd.prefetch_row_bounds(1);
-        rd.prefetch_row_payload(1);
-        assert_eq!(rd.degree(0), 2, "hints never change reads");
     }
 
     #[test]

@@ -60,7 +60,9 @@ pub mod program;
 pub mod result;
 pub mod walker;
 
-pub use config::{CancelToken, SamplerBackend, StepEngine, WalkConfig, WalkerStarts};
+pub use config::{CancelToken, SamplerBackend, WalkConfig, WalkerStarts};
+#[doc(hidden)]
+pub use engine::LOOKAHEAD;
 pub use engine::{
     stitch_support, AdmitRequest, Directives, EpochUpdate, FinishedWalk, LiveSample, Msg,
     NoopDriver, RandomWalkEngine, SegmentSource, ServeDelta, ServeDriver, SpanEvent, SpanEventKind,

@@ -3,8 +3,8 @@
 //! configurations.
 
 use knightking_core::{
-    CsrGraph, EdgeView, GraphRef, RandomWalkEngine, StepEngine, VertexId, WalkConfig, Walker,
-    WalkerProgram, WalkerStarts,
+    CsrGraph, EdgeView, GraphRef, RandomWalkEngine, VertexId, WalkConfig, Walker, WalkerProgram,
+    WalkerStarts,
 };
 use knightking_graph::GraphBuilder;
 use proptest::prelude::*;
@@ -34,6 +34,29 @@ impl WalkerProgram for TableWalk {
     }
     fn lower_bound(&self, _g: &GraphRef<'_>, _w: &Walker<()>) -> f64 {
         self.pd.iter().fold(f64::INFINITY, |a, &b| a.min(b))
+    }
+}
+
+/// Static program with an RNG-driven prelude (termination coin, then a
+/// teleport coin): the shape the kernel stages.
+#[derive(Clone, Copy)]
+struct StaticWalk {
+    len: u32,
+}
+
+impl WalkerProgram for StaticWalk {
+    type Data = VertexId;
+    type Query = ();
+    type Answer = ();
+    const DYNAMIC: bool = false;
+    fn init_data(&self, _id: u64, start: VertexId) -> VertexId {
+        start
+    }
+    fn should_terminate(&self, w: &mut Walker<VertexId>) -> bool {
+        w.step >= self.len || w.rng.chance(0.05)
+    }
+    fn teleport(&self, _g: &GraphRef<'_>, w: &mut Walker<VertexId>) -> Option<VertexId> {
+        w.rng.chance(0.15).then_some(w.data)
     }
 }
 
@@ -182,41 +205,62 @@ proptest! {
         check_paths(&g, &r.paths);
     }
 
-    /// The stage-interleaved engine (any ring size, any chunk size, with
-    /// or without cache-block sorting) is byte-identical to the scalar
-    /// engine on arbitrary graphs and programs — paths and metrics both.
+    /// The staged step kernel is byte-identical to its lookahead-0
+    /// schedule on arbitrary graphs — weighted (alias draws, some rows
+    /// without mass) or not (uniform draws) — for static, rejection-sampled
+    /// and second-order programs, at any chunk size: paths, metrics and
+    /// the per-iteration active series.
     #[test]
-    fn step_engines_are_byte_identical(
+    fn staged_kernel_matches_lookahead0(
         g in arbitrary_graph(),
+        weights in prop::collection::vec(0u8..4, 1..9),
         pd in prop::collection::vec(0.0f64..3.0, 1..6),
         len in 1u32..12,
-        ring_idx in 0usize..4,
         chunk in 1usize..160,
-        sort in any::<bool>(),
-        second_order in any::<bool>(),
+        nodes in 1usize..3,
+        shape in 0usize..3,
         seed in 0u64..500,
     ) {
-        let ring = [1usize, 2, 8, 64][ring_idx];
-        let mut scalar = WalkConfig::with_nodes(2, seed);
-        scalar.chunk_size = chunk;
-        scalar.step_engine = StepEngine::Scalar;
-        let mut inter = scalar.clone();
-        inter.step_engine = StepEngine::Interleaved { ring };
-        // Block sorting is honored on first-order programs only; setting
-        // it for second-order must be a no-op, which this also covers.
-        inter.block_sort = sort;
-        let (a, b) = if second_order {
-            let walk = AdjacencyWalk { len, near: 2.0, far: 0.5 };
-            (
-                RandomWalkEngine::new(&g, walk, scalar).run(WalkerStarts::Count(25)),
-                RandomWalkEngine::new(&g, walk, inter).run(WalkerStarts::Count(25)),
-            )
+        // Reweight the arbitrary graph; a one-element weight list leaves
+        // it unweighted. Weight 0 makes zero-mass rows likely.
+        let g = if weights.len() == 1 {
+            g
         } else {
-            let walk = TableWalk { pd, len };
-            (
-                RandomWalkEngine::new(&g, walk.clone(), scalar).run(WalkerStarts::Count(25)),
-                RandomWalkEngine::new(&g, walk, inter).run(WalkerStarts::Count(25)),
-            )
+            let mut b = GraphBuilder::directed(g.vertex_count()).with_weights();
+            let mut k = 0usize;
+            for v in 0..g.vertex_count() as VertexId {
+                for &d in g.neighbors(v) {
+                    b.add_weighted_edge(v, d, weights[k % weights.len()] as f32);
+                    k += 1;
+                }
+            }
+            b.build()
+        };
+        let mut cfg = WalkConfig::with_nodes(nodes, seed);
+        cfg.chunk_size = chunk;
+        let starts = WalkerStarts::Count(25);
+        let (a, b) = match shape {
+            0 => {
+                let walk = StaticWalk { len };
+                (
+                    RandomWalkEngine::new(&g, walk, cfg.clone()).lookahead0().run(starts.clone()),
+                    RandomWalkEngine::new(&g, walk, cfg).run(starts),
+                )
+            }
+            1 => {
+                let walk = TableWalk { pd, len };
+                (
+                    RandomWalkEngine::new(&g, walk.clone(), cfg.clone()).lookahead0().run(starts.clone()),
+                    RandomWalkEngine::new(&g, walk, cfg).run(starts),
+                )
+            }
+            _ => {
+                let walk = AdjacencyWalk { len, near: 2.0, far: 0.5 };
+                (
+                    RandomWalkEngine::new(&g, walk, cfg.clone()).lookahead0().run(starts.clone()),
+                    RandomWalkEngine::new(&g, walk, cfg).run(starts),
+                )
+            }
         };
         prop_assert_eq!(a.paths, b.paths);
         prop_assert_eq!(a.metrics, b.metrics);

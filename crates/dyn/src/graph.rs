@@ -237,26 +237,6 @@ impl DynGraph {
         });
     }
 
-    /// Hints that `v`'s merged row at `epoch` is about to be read.
-    ///
-    /// Purely a performance hint for the stage-interleaved engine. The
-    /// base CSR is lock-free, so its row bounds and payload are always
-    /// warmed; the per-vertex version vector is only touched when the
-    /// read lock is free right now (`try_read`) — blocking, even
-    /// briefly, would defeat the point of a prefetch.
-    pub fn prefetch_row_at(&self, v: VertexId, epoch: u64) {
-        self.base.prefetch_row_bounds(v);
-        self.base.prefetch_row_payload(v);
-        if let Ok(inner) = self.inner.try_read() {
-            let rows = &inner.rows[v as usize];
-            knightking_graph::prefetch::slice(rows);
-            let n = rows.partition_point(|rv| rv.epoch <= epoch);
-            if n > 0 {
-                rows[n - 1].kind.prefetch();
-            }
-        }
-    }
-
     /// Total edge count at `epoch` (an O(V) scan over row versions).
     pub fn edge_count_at(&self, epoch: u64) -> u64 {
         let inner = self.inner.read().expect("dyn lock poisoned");

@@ -64,26 +64,6 @@ pub(crate) enum RowKind {
     Full(FullRow),
 }
 
-impl RowKind {
-    /// Hints that this row version's payload is about to be merged-read.
-    /// Purely a performance hint (see `knightking_graph::prefetch`).
-    pub fn prefetch(&self) {
-        match self {
-            RowKind::Overlay(ov) => {
-                knightking_graph::prefetch::slice(&ov.adds);
-                knightking_graph::prefetch::slice(&ov.dead);
-                knightking_graph::prefetch::slice(&ov.rew);
-            }
-            RowKind::Full(fr) => {
-                knightking_graph::prefetch::slice(&fr.targets);
-                if let Some(w) = &fr.weights {
-                    knightking_graph::prefetch::slice(w);
-                }
-            }
-        }
-    }
-}
-
 /// One epoch-stamped row version. Versions within a vertex are sorted by
 /// epoch; a reader pinned at epoch `e` uses the latest version with
 /// `epoch <= e` (or the base row when none exists).

@@ -225,12 +225,31 @@ impl CsrGraph {
             .unwrap_or(0)
     }
 
-    /// Hints that `v`'s row bounds (`offsets[v]`, `offsets[v + 1]`) are
-    /// about to be read.
+    /// Position of `v`'s first out-edge in the flat edge arrays, and its
+    /// out-degree. With [`target`](CsrGraph::target) this is the step
+    /// kernel's view of a row: one bounds read, then cells by position.
     ///
-    /// First prefetch stage of the interleaved engine: both offsets share
-    /// a cache line except at line boundaries, so one hint per line
-    /// suffices. Purely a performance hint — never faults, even for
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn row(&self, v: VertexId) -> (usize, usize) {
+        let lo = self.offsets[v as usize];
+        (lo as usize, (self.offsets[v as usize + 1] - lo) as usize)
+    }
+
+    /// Destination of the edge at flat position `pos` (a [`row`] start
+    /// plus an index below that row's degree).
+    ///
+    /// [`row`]: CsrGraph::row
+    #[inline]
+    pub fn target(&self, pos: usize) -> VertexId {
+        self.targets[pos]
+    }
+
+    /// Hints that `v`'s row bounds (`offsets[v]`, `offsets[v + 1]`) are
+    /// about to be read. Both share a cache line except at line
+    /// boundaries. Purely a performance hint — never faults, even for
     /// out-of-range `v`.
     #[inline]
     pub fn prefetch_row_bounds(&self, v: VertexId) {
@@ -239,29 +258,11 @@ impl CsrGraph {
         knightking_sampling::prefetch::read(p.wrapping_add(1));
     }
 
-    /// Hints that `v`'s edge payload (targets, weights) is about to be
-    /// scanned, reading the (by now cached) row bounds to locate it.
-    ///
-    /// Second prefetch stage of the interleaved engine, issued closer to
-    /// use than [`CsrGraph::prefetch_row_bounds`]. Capped at a few cache
-    /// lines per array so hub vertices don't flush the cache they are
-    /// meant to warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range (same contract as [`CsrGraph::degree`]).
+    /// Hints that [`target`](CsrGraph::target)`(pos)` is about to be
+    /// read. Never faults, whatever `pos`.
     #[inline]
-    pub fn prefetch_row_payload(&self, v: VertexId) {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        let len = hi - lo;
-        if len == 0 {
-            return;
-        }
-        knightking_sampling::prefetch::span(self.targets.as_ptr().wrapping_add(lo), len);
-        if let Some(w) = &self.weights {
-            knightking_sampling::prefetch::span(w.as_ptr().wrapping_add(lo), len);
-        }
+    pub fn prefetch_target(&self, pos: usize) {
+        knightking_sampling::prefetch::read(self.targets.as_ptr().wrapping_add(pos));
     }
 
     /// Approximate heap footprint in bytes.

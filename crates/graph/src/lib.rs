@@ -36,11 +36,6 @@ pub use csr::{CsrGraph, EdgeView};
 pub use filter::NeighborIndex;
 pub use partition::Partition;
 
-/// Software-prefetch hints, re-exported so graph consumers (the dynamic
-/// overlay, the engine's stage-interleaved hot loop) can warm rows
-/// without a direct dependency on the sampling crate.
-pub use knightking_sampling::prefetch;
-
 /// Identifies a vertex. Dense ids in `[0, |V|)`.
 pub type VertexId = u32;
 

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 /// Number of phases in the fixed taxonomy.
-pub const N_PHASES: usize = 10;
+pub const N_PHASES: usize = 9;
 
 /// One engine execution phase.
 ///
@@ -21,15 +21,11 @@ pub const N_PHASES: usize = 10;
 /// * `LightMode` — walker processing while the node is in light mode
 ///   (§6.2); disjoint from `LocalCompute` so the tail is visible.
 /// * `Finalize` — result merging and path reassembly after the walk.
-/// * `Gather` — the interleaved engine's per-chunk stage-pool build
-///   (SoA materialization plus optional cache-block sort). Accumulated
-///   as thread-summed CPU time inside `LocalCompute`/`LightMode` wall
-///   time, so it can exceed any single wall-clock phase on many threads.
 /// * `Commit` — second-order phase B: applying answers and committing
 ///   moves. Previously folded into `LocalCompute`/`LightMode`.
 ///
-/// `Gather` and `Commit` are appended *after* `Finalize` so the indices
-/// of the original eight phases stay stable across profile schemas.
+/// `Commit` is appended *after* `Finalize` so the indices of the original
+/// eight phases stay stable across profile schemas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Phase {
@@ -49,9 +45,6 @@ pub enum Phase {
     LightMode,
     /// Result merging and path reassembly.
     Finalize,
-    /// Per-chunk stage-pool build in the interleaved engine
-    /// (thread-summed CPU time).
-    Gather,
     /// Second-order answer application and move commits.
     Commit,
 }
@@ -67,7 +60,6 @@ impl Phase {
         Phase::AnswerRound,
         Phase::LightMode,
         Phase::Finalize,
-        Phase::Gather,
         Phase::Commit,
     ];
 
@@ -82,7 +74,6 @@ impl Phase {
             Phase::AnswerRound => "answer_round",
             Phase::LightMode => "light_mode",
             Phase::Finalize => "finalize",
-            Phase::Gather => "gather",
             Phase::Commit => "commit",
         }
     }

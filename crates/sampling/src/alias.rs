@@ -39,6 +39,94 @@ pub struct AliasTable {
     total_weight: f64,
 }
 
+/// Work lists of the Vose construction, kept by the caller so a run of
+/// builds (one per vertex) allocates them once.
+#[derive(Debug, Default)]
+pub struct VoseScratch {
+    small: Vec<u32>,
+    large: Vec<u32>,
+}
+
+/// Builds the alias buckets of `weights` into `prob`/`alias` and returns
+/// the total weight. The one Vose routine: [`AliasTable::new`] and
+/// [`FlatAlias`] rows both go through it, so they agree bit for bit.
+///
+/// `prob` doubles as the scaled-weight work array: a bucket's value is
+/// final once it leaves the small list, and leftovers are set to 1.
+///
+/// # Errors
+///
+/// As [`AliasTable::new`]; the output slices are then unspecified.
+///
+/// # Panics
+///
+/// Panics if the three slices differ in length.
+pub fn build_into(
+    weights: &[f64],
+    prob: &mut [f64],
+    alias: &mut [u32],
+    scratch: &mut VoseScratch,
+) -> Result<f64, SamplingError> {
+    let n = weights.len();
+    assert!(prob.len() == n && alias.len() == n, "alias row length");
+    assert!(
+        n <= u32::MAX as usize,
+        "alias table limited to 2^32 outcomes"
+    );
+    let total = validate_weights(weights)?;
+
+    // Vose's algorithm: scale weights so the average bucket is 1, then
+    // pair each under-full bucket with an over-full donor.
+    let scale = n as f64 / total;
+    let VoseScratch { small, large } = scratch;
+    small.clear();
+    large.clear();
+    for (i, &w) in weights.iter().enumerate() {
+        let s = w * scale;
+        prob[i] = s;
+        alias[i] = i as u32;
+        if s < 1.0 {
+            small.push(i as u32);
+        } else {
+            large.push(i as u32);
+        }
+    }
+
+    while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+        small.pop();
+        alias[s as usize] = l;
+        prob[l as usize] -= 1.0 - prob[s as usize];
+        if prob[l as usize] < 1.0 {
+            large.pop();
+            small.push(l);
+        }
+    }
+    // Leftovers in either list are numerically-full buckets.
+    for &i in small.iter().chain(large.iter()) {
+        prob[i as usize] = 1.0;
+    }
+    Ok(total)
+}
+
+/// The random half of an alias draw over `len` buckets: the bucket and
+/// its coin, in the order every alias draw consumes them. Split from
+/// [`resolve`] so a caller can fetch the bucket's cell in between.
+#[inline]
+pub fn draw_cell(len: usize, rng: &mut DeterministicRng) -> (usize, f64) {
+    let bucket = rng.next_index(len);
+    (bucket, rng.next_f64())
+}
+
+/// The memory half of an alias draw: reads bucket `bucket` of a row.
+#[inline]
+pub fn resolve(prob: &[f64], alias: &[u32], bucket: usize, coin: f64) -> usize {
+    if coin < prob[bucket] {
+        bucket
+    } else {
+        alias[bucket] as usize
+    }
+}
+
 impl AliasTable {
     /// Builds an alias table from unnormalized, non-negative weights.
     ///
@@ -49,73 +137,26 @@ impl AliasTable {
     /// Returns [`SamplingError`] if `weights` is empty, contains a
     /// negative/NaN/infinite value, or sums to zero.
     pub fn new(weights: &[f64]) -> Result<Self, SamplingError> {
-        let total = validate_weights(weights)?;
-        let n = weights.len();
-        assert!(
-            n <= u32::MAX as usize,
-            "alias table limited to 2^32 outcomes"
-        );
-
-        // Vose's algorithm: scale weights so the average bucket is 1, then
-        // pair each under-full bucket with an over-full donor.
-        let scale = n as f64 / total;
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * scale).collect();
-        let mut prob = vec![1.0f64; n];
-        let mut alias: Vec<u32> = (0..n as u32).collect();
-
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers in either list are numerically-full buckets.
-        for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
-        }
-
+        let mut prob = vec![0.0f64; weights.len()];
+        let mut alias = vec![0u32; weights.len()];
+        let total_weight = build_into(weights, &mut prob, &mut alias, &mut VoseScratch::default())?;
         Ok(AliasTable {
             prob,
             alias,
-            total_weight: total,
+            total_weight,
         })
-    }
-
-    /// Hints that this table is about to be sampled.
-    ///
-    /// Warms the head of both bucket arrays — `sample` draws a uniform
-    /// bucket, so only the first lines can be predicted, but on skewed
-    /// graphs most tables are small enough that the head *is* the table.
-    /// Purely a performance hint; see [`crate::prefetch`].
-    #[inline]
-    pub fn prefetch(&self) {
-        crate::prefetch::slice(&self.prob);
-        crate::prefetch::slice(&self.alias);
     }
 
     /// Draws one outcome index in O(1).
     #[inline]
     pub fn sample(&self, rng: &mut DeterministicRng) -> usize {
-        let bucket = rng.next_index(self.prob.len());
-        if rng.next_f64() < self.prob[bucket] {
-            bucket
-        } else {
-            self.alias[bucket] as usize
-        }
+        let (bucket, coin) = draw_cell(self.prob.len(), rng);
+        resolve(&self.prob, &self.alias, bucket, coin)
+    }
+
+    /// The `prob`/`alias` buckets, as [`FlatAlias::row`] gives a row's.
+    pub fn cells(&self) -> (&[f64], &[u32]) {
+        (&self.prob, &self.alias)
     }
 
     /// Number of outcomes.
@@ -139,6 +180,139 @@ impl AliasTable {
     /// Approximate heap footprint in bytes, for memory accounting.
     pub fn heap_bytes(&self) -> usize {
         self.prob.len() * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+    }
+}
+
+/// Alias rows of many distributions in two flat arrays.
+///
+/// Row `r` occupies cells `offsets[r]..offsets[r + 1]` of `prob` and
+/// `alias` — the CSR layout, so when rows are a graph's adjacency lists
+/// cell `p` belongs to edge `p` and a row's length is its vertex's degree.
+/// A row that has no table (empty, zero mass, or an invalid weight) has
+/// total `0.0` and must not be drawn from.
+#[derive(Debug, Clone)]
+pub struct FlatAlias {
+    prob: Vec<f64>,
+    alias: Vec<u32>,
+    offsets: Vec<u64>,
+    total: Vec<f64>,
+}
+
+/// A run of consecutive rows of a [`FlatAlias`] under construction.
+/// Blocks of one store are disjoint, so threads fill them concurrently.
+#[derive(Debug)]
+pub struct RowBlockMut<'a> {
+    /// Index of the block's first row in the store.
+    pub first_row: usize,
+    offsets: &'a [u64],
+    prob: &'a mut [f64],
+    alias: &'a mut [u32],
+    total: &'a mut [f64],
+}
+
+impl RowBlockMut<'_> {
+    /// Rows in this block.
+    pub fn rows(&self) -> usize {
+        self.total.len()
+    }
+
+    /// Builds row `first_row + k` from `weights` (one per cell).
+    pub fn fill(&mut self, k: usize, weights: &[f64], scratch: &mut VoseScratch) {
+        let lo = (self.offsets[k] - self.offsets[0]) as usize;
+        let hi = (self.offsets[k + 1] - self.offsets[0]) as usize;
+        let (prob, alias) = (&mut self.prob[lo..hi], &mut self.alias[lo..hi]);
+        self.total[k] = build_into(weights, prob, alias, scratch).unwrap_or(0.0);
+    }
+}
+
+impl FlatAlias {
+    /// An unfilled store with one row per entry of `lens`, row `r` having
+    /// `lens[r]` cells; every row reads as "no table" until filled.
+    pub fn with_row_lens(lens: impl IntoIterator<Item = usize>) -> Self {
+        let mut cells = 0u64;
+        let mut offsets = vec![0u64];
+        offsets.extend(lens.into_iter().map(|n| {
+            cells += n as u64;
+            cells
+        }));
+        FlatAlias {
+            prob: vec![0.0; cells as usize],
+            alias: vec![0; cells as usize],
+            total: vec![0.0; offsets.len() - 1],
+            offsets,
+        }
+    }
+
+    /// Splits the store into fill blocks of `rows_per_block` rows.
+    pub fn row_blocks_mut(&mut self, rows_per_block: usize) -> Vec<RowBlockMut<'_>> {
+        let step = rows_per_block.max(1);
+        let (mut prob, mut alias) = (&mut self.prob[..], &mut self.alias[..]);
+        let mut blocks = Vec::with_capacity(self.total.len().div_ceil(step));
+        for (b, total) in self.total.chunks_mut(step).enumerate() {
+            let first_row = b * step;
+            let offsets = &self.offsets[first_row..=first_row + total.len()];
+            let cells = (offsets[total.len()] - offsets[0]) as usize;
+            let (p, prob_rest) = prob.split_at_mut(cells);
+            let (a, alias_rest) = alias.split_at_mut(cells);
+            (prob, alias) = (prob_rest, alias_rest);
+            blocks.push(RowBlockMut {
+                first_row,
+                offsets,
+                prob: p,
+                alias: a,
+                total,
+            });
+        }
+        blocks
+    }
+
+    /// Number of cells over all rows.
+    pub fn cells(&self) -> usize {
+        self.prob.len()
+    }
+
+    /// Total weight of row `r`; `0.0` when the row has no table.
+    #[inline]
+    pub fn total(&self, r: usize) -> f64 {
+        self.total[r]
+    }
+
+    /// The `prob`/`alias` cells of row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> (&[f64], &[u32]) {
+        let (lo, hi) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+        (&self.prob[lo..hi], &self.alias[lo..hi])
+    }
+
+    /// Draws from row `r`, exactly as an [`AliasTable`] of the same
+    /// weights would.
+    #[inline]
+    pub fn sample(&self, r: usize, rng: &mut DeterministicRng) -> usize {
+        let (prob, alias) = self.row(r);
+        let (bucket, coin) = draw_cell(prob.len(), rng);
+        resolve(prob, alias, bucket, coin)
+    }
+
+    /// Hints that row `r`'s total is about to be read.
+    #[inline]
+    pub fn prefetch_total(&self, r: usize) {
+        crate::prefetch::read(self.total.as_ptr().wrapping_add(r));
+    }
+
+    /// Hints that cell `cell` (a row's first cell plus a drawn bucket) is
+    /// about to be resolved.
+    #[inline]
+    pub fn prefetch_cell(&self, cell: usize) {
+        crate::prefetch::read(self.prob.as_ptr().wrapping_add(cell));
+        crate::prefetch::read(self.alias.as_ptr().wrapping_add(cell));
+    }
+
+    /// Finishes a draw begun with [`draw_cell`] on the row starting at
+    /// cell `row_start`.
+    #[inline]
+    pub fn resolve_at(&self, row_start: usize, bucket: usize, coin: f64) -> usize {
+        let (prob, alias) = (&self.prob[row_start..], &self.alias[row_start..]);
+        resolve(prob, alias, bucket, coin)
     }
 }
 

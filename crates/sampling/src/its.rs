@@ -91,19 +91,6 @@ impl CdfTable {
         Self::sample_prepared(&self.cumulative, rng)
     }
 
-    /// Hints that this table is about to be binary-searched.
-    ///
-    /// The first probe of `sample` always lands on the midpoint, so that
-    /// line (plus the total at the tail) is the only predictable touch.
-    /// Purely a performance hint; see [`crate::prefetch`].
-    #[inline]
-    pub fn prefetch(&self) {
-        if !self.cumulative.is_empty() {
-            crate::prefetch::read(&self.cumulative[self.cumulative.len() / 2]);
-            crate::prefetch::read(self.cumulative.last().unwrap());
-        }
-    }
-
     /// Number of outcomes.
     pub fn len(&self) -> usize {
         self.cumulative.len()

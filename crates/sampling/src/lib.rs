@@ -22,8 +22,8 @@
 //!
 //! The [`stats`] module provides the chi-squared helpers used by this
 //! repository's statistical tests, and [`prefetch`] the dependency-free
-//! software-prefetch hints the stage-interleaved engine issues while one
-//! walker samples and the next walker's tables are still in DRAM.
+//! software-prefetch hint the staged step kernel issues between drawing a
+//! walker's alias cell and resolving it.
 
 pub mod alias;
 pub mod its;
@@ -33,7 +33,7 @@ pub mod rejection;
 pub mod rng;
 pub mod stats;
 
-pub use alias::AliasTable;
+pub use alias::{AliasTable, FlatAlias};
 pub use its::CdfTable;
 pub use radix::RadixTable;
 pub use rejection::{Envelope, OutlierSlot, Trial};

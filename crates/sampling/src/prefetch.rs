@@ -1,27 +1,15 @@
-//! Software prefetch hints for the stage-interleaved walker engine.
+//! The software prefetch hint of the staged step kernel.
 //!
-//! A walker step is a dependent pointer chase — CSR row bounds → edge
-//! slice → sampler entry — so the engine's hot loop hides memory latency
-//! by issuing prefetches for walker *i + d* while walker *i* samples
-//! (ThunderRW-style step interleaving). The hints here are pure
-//! performance annotations: they never fault, never touch memory
-//! architecturally, and compile to nothing on targets without a known
-//! prefetch instruction, so every caller stays byte-identical with or
-//! without them.
+//! A walker step is a chain of dependent loads — CSR row bounds → the
+//! RNG-chosen alias cell → the edge target — so the engine's hot loop
+//! draws for walker *i + D*, hints the cells that draw chose, and only
+//! then resolves walker *i* (ThunderRW-style step interleaving). The hint
+//! is a pure performance annotation: it never faults, never touches
+//! memory architecturally, and compiles to nothing on targets without a
+//! known prefetch instruction, so every caller stays byte-identical with
+//! or without it.
 //!
 //! `core::arch` only — no dependencies, no `unsafe` leaking to callers.
-
-/// How many cache lines [`span`] will touch at most for one range.
-///
-/// Hub vertices have edge rows far larger than L1; prefetching an entire
-/// multi-megabyte row would evict the working set it is trying to warm.
-/// Four lines cover the first 32 edge targets (or 64 weight bytes) — the
-/// region a rejection trial is overwhelmingly likely to hit first.
-pub const MAX_SPAN_LINES: usize = 4;
-
-/// Cache line size assumed for [`span`]; exactness is irrelevant to
-/// correctness (a wrong guess only wastes or merges hint slots).
-const LINE: usize = 64;
 
 /// Hints that the cache line containing `p` will soon be read.
 ///
@@ -48,25 +36,6 @@ pub fn read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Hints the first [`MAX_SPAN_LINES`] cache lines of `len` elements
-/// starting at `p`.
-///
-/// The cap bounds the cost on hub rows; see [`MAX_SPAN_LINES`].
-#[inline(always)]
-pub fn span<T>(p: *const T, len: usize) {
-    let bytes = len.saturating_mul(core::mem::size_of::<T>());
-    let lines = bytes.div_ceil(LINE).min(MAX_SPAN_LINES);
-    for i in 0..lines {
-        read((p as *const u8).wrapping_add(i * LINE));
-    }
-}
-
-/// Hints a whole slice (capped at [`MAX_SPAN_LINES`] lines).
-#[inline(always)]
-pub fn slice<T>(s: &[T]) {
-    span(s.as_ptr(), s.len());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,16 +45,5 @@ mod tests {
         read(core::ptr::null::<u64>());
         read(usize::MAX as *const u64);
         read((&42u64) as *const u64);
-        span(core::ptr::null::<u8>(), 10_000);
-        span([1u32, 2, 3].as_ptr(), 3);
-        slice::<u64>(&[]);
-        slice(&[1.0f64; 512]);
-    }
-
-    #[test]
-    fn span_lines_are_capped() {
-        // Purely a compile/semantics check: a huge len must not overflow
-        // the pointer arithmetic (wrapping_add) or loop unboundedly.
-        span(core::ptr::null::<u8>(), usize::MAX);
     }
 }

@@ -205,24 +205,6 @@ impl RadixTable {
         }
     }
 
-    /// Hints that this table is about to be sampled.
-    ///
-    /// Warms the top of the slab tree — the first levels every descent
-    /// must traverse. Purely a performance hint; see [`crate::prefetch`].
-    #[inline]
-    pub fn prefetch(&self) {
-        crate::prefetch::slice(&self.slab_sum);
-    }
-
-    /// Hints the leaf region (slabs + true weights), where a descent
-    /// terminates and the acceptance test reads. The deep-stage companion
-    /// of [`prefetch`](Self::prefetch) for the interleaved step engine.
-    #[inline]
-    pub fn prefetch_leaves(&self) {
-        crate::prefetch::span(self.slab_sum[self.cap..].as_ptr(), self.n);
-        crate::prefetch::span(self.w_sum[self.cap..].as_ptr(), self.n);
-    }
-
     /// Number of outcomes.
     pub fn len(&self) -> usize {
         self.n
@@ -419,8 +401,6 @@ mod tests {
         assert_eq!(table.len(), 3);
         assert!(!table.is_empty());
         assert!(table.heap_bytes() > 0);
-        table.prefetch();
-        table.prefetch_leaves();
     }
 
     #[test]

@@ -119,14 +119,6 @@ impl Envelope {
                 .sum::<f64>()
     }
 
-    /// Hints that this envelope's outlier slots are about to be walked by
-    /// [`Envelope::draw`]. Purely a performance hint; see
-    /// [`crate::prefetch`].
-    #[inline]
-    pub fn prefetch(&self) {
-        crate::prefetch::slice(&self.outliers);
-    }
-
     /// Throws one dart, returning where it landed.
     ///
     /// Returns `None` when the board has zero area.

@@ -585,7 +585,7 @@ mod tests {
             completed: 3,
             supersteps: 99,
             latency_p99_us: 1234,
-            phase_ns: [9, 8, 7, 6, 5, 4, 3, 2, 1, 10],
+            phase_ns: [9, 8, 7, 6, 5, 4, 3, 2, 1],
             ..StatsReport::default()
         };
         report.series.push(crate::stats::SeriesPoint {

@@ -473,9 +473,10 @@ impl WalkService {
         engine.run_service(transport, None::<&mut NoopDriver>)
     }
 
-    /// Answers any request or update that slipped into a queue after the
-    /// final poll (the submit/shutdown race window) so no client blocks
-    /// on a response that will never come.
+    /// Winds a drained service down: answers any request or update that
+    /// slipped into a queue after the final poll (the submit/shutdown
+    /// race window) so no client blocks on a response that will never
+    /// come, then hands the engine's freed memory back to the OS.
     fn drain_queue_shutting_down(&self) {
         // Collect under the locks, respond after releasing them: a
         // callback responder may itself take service locks (e.g. a
@@ -493,6 +494,31 @@ impl WalkService {
                 status: Status::ShuttingDown,
                 paths: Vec::new(),
             });
+        }
+        release_freed_memory();
+    }
+}
+
+/// Returns the pages of freed heap memory to the OS.
+///
+/// glibc parks freed memory in the arena of the thread that allocated it
+/// and only ever trims an arena's top; a few small chunks freed on another
+/// thread (and so parked in *its* cache) are enough to pin a rank thread's
+/// whole arena. A host that runs services one after another in a process
+/// then carries every ended service's working set: over its three service
+/// lifetimes `serve_churn` peaked at 170–226 MB (EXPERIMENTS.md,
+/// "Step-engine interleaving") until the wind-down trimmed, 138–148 MB
+/// since. A no-op off glibc.
+fn release_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointer, may be called from any
+        // thread, and only releases pages inside chunks that are free.
+        unsafe {
+            malloc_trim(0);
         }
     }
 }

@@ -799,7 +799,7 @@ mod tests {
             segments_spliced: 9,
             stitch_pool_dry: 3,
             stitch_fallback_steps: 7,
-            phase_ns: [10, 0, 20, 30, 0, 0, 0, 5, 2, 1],
+            phase_ns: [10, 0, 20, 30, 0, 0, 0, 5, 1],
         };
         let b = LiveSample {
             active: 2,
@@ -811,7 +811,7 @@ mod tests {
             segments_spliced: 1,
             stitch_pool_dry: 0,
             stitch_fallback_steps: 2,
-            phase_ns: [1, 0, 2, 3, 0, 0, 0, 4, 1, 1],
+            phase_ns: [1, 0, 2, 3, 0, 0, 0, 4, 1],
         };
         s.apply_live(&[a, b]);
         assert_eq!(s.active_walkers, 5);
@@ -941,7 +941,7 @@ mod tests {
         let empty = StatsReport::default().render_dashboard();
         assert!(empty.contains("kk top"));
         let mut s = sample();
-        s.phase_ns = [5, 0, 100, 40, 0, 0, 0, 1, 6, 2];
+        s.phase_ns = [5, 0, 100, 40, 0, 0, 0, 1, 2];
         for i in 0..200 {
             s.series.push(SeriesPoint {
                 superstep: 40 + i,

@@ -1,7 +1,7 @@
 //! All-to-all message exchange and collectives for the simulated cluster.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::metrics::ClusterMetrics;
 
@@ -13,25 +13,48 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A sense-reversing spin barrier.
+/// A sense-reversing spin-then-park barrier.
 ///
 /// BSP iterations synchronize a handful of node threads thousands of
 /// times per run; `std::sync::Barrier`'s futex sleep/wake costs tens of
 /// microseconds per crossing, which at simulation scale dwarfs the
 /// per-iteration compute. With at most ~16 node threads, spinning (with
 /// periodic yields to stay polite under oversubscription) is the right
-/// trade.
+/// trade for a crossing whose peers are about to arrive. A peer that is
+/// *not* about to arrive — the serve loop's leader parked on an empty
+/// request queue — would keep every other rank spinning on a core for as
+/// long as the service idles, so a waiter that exhausts its spin budget
+/// parks on a condvar until the last arrival wakes it.
 pub(crate) struct SpinBarrier {
     n: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
     /// More barrier participants than hardware threads: spinning would
-    /// steal the core a worker needs, so yield immediately instead.
+    /// steal the core a worker needs, so yield on every spin instead.
     oversubscribed: bool,
     /// Set when a participant panicked: waiters must bail out instead of
-    /// spinning forever on a peer that will never arrive.
+    /// waiting forever on a peer that will never arrive.
     poisoned: AtomicBool,
+    parking: Parking,
 }
+
+/// The slow path's state, on a cache line of its own: every crossing's
+/// last arrival reads `sleepers`, and must not contend for the line the
+/// spinners and arrivers bounce between them.
+#[repr(align(64))]
+struct Parking {
+    /// Waiters parked, or committed to parking.
+    sleepers: AtomicUsize,
+    /// Times a waiter parked, over the barrier's lifetime.
+    parks: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+/// Spins a waiter makes before it parks: ~1 ms of `pause`s, or 128
+/// yields when oversubscribed.
+const SPIN_LIMIT: u32 = 1 << 15;
+const SPIN_LIMIT_OVERSUBSCRIBED: u32 = 1 << 7;
 
 impl SpinBarrier {
     pub(crate) fn new(n: usize) -> Self {
@@ -44,13 +67,27 @@ impl SpinBarrier {
             generation: AtomicUsize::new(0),
             oversubscribed: n > cores,
             poisoned: AtomicBool::new(false),
+            parking: Parking {
+                sleepers: AtomicUsize::new(0),
+                parks: AtomicU64::new(0),
+                lock: Mutex::new(()),
+                cv: Condvar::new(),
+            },
         }
     }
 
     /// Marks the barrier as poisoned; all current and future waiters
     /// panic instead of deadlocking.
     pub(crate) fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
+        self.poisoned.store(true, Ordering::SeqCst);
+        if self.parking.sleepers.load(Ordering::SeqCst) > 0 {
+            self.notify_sleepers();
+        }
+    }
+
+    /// Times a waiter has parked so far.
+    pub(crate) fn parks(&self) -> u64 {
+        self.parking.parks.load(Ordering::Relaxed)
     }
 
     /// Blocks until all `n` participants have called `wait`.
@@ -63,29 +100,102 @@ impl SpinBarrier {
         if self.n == 1 {
             return;
         }
-        if self.poisoned.load(Ordering::Acquire) {
-            panic!("cluster barrier poisoned: another node panicked");
-        }
+        self.check_poison();
         let gen = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) == self.n - 1 {
+        // SeqCst, like the `sleepers` load that follows it: the pair
+        // `park` orders its own SeqCst pair against. Both are what the
+        // spin-only barrier already executed on x86 (a locked add, a
+        // plain load), so a crossing nobody parked in costs what it
+        // always did.
+        if self.arrived.fetch_add(1, Ordering::SeqCst) == self.n - 1 {
+            // Looked up before the release, not after: anything between
+            // the generation store and this thread's next arrival
+            // lengthens the window in which it and the released spinners
+            // fight over the same cache line.
+            let sleepers = self.parking.sleepers.load(Ordering::SeqCst) > 0;
             // Last arrival: reset and release the generation.
             self.arrived.store(0, Ordering::Release);
             self.generation
                 .store(gen.wrapping_add(1), Ordering::Release);
+            if sleepers {
+                self.notify_sleepers();
+            }
+            return;
+        }
+        let spin_limit = if self.oversubscribed {
+            SPIN_LIMIT_OVERSUBSCRIBED
         } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if self.poisoned.load(Ordering::Acquire) {
-                    panic!("cluster barrier poisoned: another node panicked");
+            SPIN_LIMIT
+        };
+        let mut spins = 0u32;
+        while self.generation.load(Ordering::Acquire) == gen {
+            self.check_poison();
+            spins += 1;
+            if self.oversubscribed || spins.is_multiple_of(1024) {
+                // Both budgets run out on a yielding spin, so the plain
+                // ones need not check.
+                if spins >= spin_limit {
+                    self.park(gen);
+                    return;
                 }
-                spins += 1;
-                if self.oversubscribed || spins.is_multiple_of(1024) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
             }
         }
+    }
+
+    #[inline]
+    fn check_poison(&self) {
+        if self.poisoned.load(Ordering::SeqCst) {
+            panic!("cluster barrier poisoned: another node panicked");
+        }
+    }
+
+    /// Sleeps until generation `gen` is released or the barrier is
+    /// poisoned.
+    #[cold]
+    fn park(&self, gen: usize) {
+        let p = &self.parking;
+        let mut guard = lock(&p.lock);
+        p.sleepers.fetch_add(1, Ordering::SeqCst);
+        p.parks.fetch_add(1, Ordering::Relaxed);
+        loop {
+            // `arrived` first: a count from the next generation can only
+            // be read together with the generation flip that preceded it.
+            let arrived = self.arrived.load(Ordering::SeqCst);
+            if self.generation.load(Ordering::Acquire) != gen
+                || self.poisoned.load(Ordering::SeqCst)
+            {
+                break;
+            }
+            if arrived == 0 || arrived == self.n {
+                // The last party has arrived (count full, or already
+                // reset) and is about to flip the generation. It may have
+                // looked for sleepers before this one was counted, so
+                // sleeping could miss its wake; the flip is moments away.
+                std::hint::spin_loop();
+                continue;
+            }
+            // A count in 1..n read after the increment above means the
+            // last party's `fetch_add` is still to come, and with it the
+            // `sleepers` load that finds this waiter; the lock, held from
+            // before the increment until `wait` releases it, keeps the
+            // notification from firing early.
+            guard = p.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+        p.sleepers.fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
+        self.check_poison();
+    }
+
+    /// Wakes parked waiters after a release or a poisoning. Taking the
+    /// lock orders the notification after any waiter that has counted
+    /// itself but not yet reached its `wait`.
+    #[cold]
+    fn notify_sleepers(&self) {
+        let _guard = lock(&self.parking.lock);
+        self.parking.cv.notify_all();
     }
 }
 
@@ -161,6 +271,13 @@ impl<'a, M: Send> NodeCtx<'a, M> {
     /// Waits until every node reaches this point.
     pub fn barrier(&self) {
         self.shared.barrier.wait();
+    }
+
+    /// Times a node has parked in the cluster's barrier (spin budget
+    /// exhausted) so far. For tests that check idle ranks sleep.
+    #[doc(hidden)]
+    pub fn barrier_parks(&self) -> u64 {
+        self.shared.barrier.parks()
     }
 
     /// All-to-all message exchange (`MPI_Alltoallv`).
@@ -664,6 +781,75 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    /// The batch fast path: parties that arrive together cross on the
+    /// spin alone. A preempted peer can legitimately outlast the spin
+    /// budget on a loaded box, so the claim is that a clean run exists,
+    /// not that every run is clean.
+    #[test]
+    fn lockstep_crossings_do_not_park() {
+        let clean = (0..5).any(|_| {
+            let barrier = SpinBarrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        for _ in 0..1000 {
+                            barrier.wait();
+                        }
+                    });
+                }
+            });
+            barrier.parks() == 0
+        });
+        assert!(clean, "1000 lockstep crossings parked in 5 of 5 attempts");
+    }
+
+    #[test]
+    fn waiter_parked_behind_a_late_party_is_released() {
+        let barrier = SpinBarrier::new(2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| barrier.wait());
+            // The late party arrives only once the waiter has given up
+            // spinning; the barrier must then wake it.
+            while barrier.parks() == 0 {
+                std::thread::yield_now();
+            }
+            barrier.wait();
+            waiter.join().expect("parked waiter crosses");
+        });
+        assert_eq!(barrier.parks(), 1);
+        // The barrier is reusable after a parked crossing.
+        std::thread::scope(|scope| {
+            scope.spawn(|| barrier.wait());
+            barrier.wait();
+        });
+    }
+
+    #[test]
+    fn poison_releases_parked_waiters() {
+        let barrier = SpinBarrier::new(3);
+        std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait()))
+                    })
+                })
+                .collect();
+            while barrier.parks() < 2 {
+                std::thread::yield_now();
+            }
+            barrier.poison();
+            for w in waiters {
+                let payload = w
+                    .join()
+                    .expect("the panic was caught")
+                    .expect_err("a poisoned barrier panics its waiters");
+                let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(msg, "cluster barrier poisoned: another node panicked");
+            }
+        });
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!    it owns — each pinned at the now-current graph epoch;
 //! 4. an allreduce agrees on the active-walker count: the loop exits when
 //!    a shutdown was directed *and* no walker remains (drain-then-exit);
+//!    with no walker and no shutdown the leader parks in
+//!    [`ServeDriver::wait_for_work`] and the boundary repeats when it
+//!    returns;
 //! 5. one normal BSP iteration advances every active walker.
 //!
 //! # Determinism
@@ -546,6 +549,14 @@ pub trait ServeDriver {
     fn absorb(&mut self, node: usize, delta: ServeDelta);
     /// Decides admissions, kills, and shutdown for the next superstep.
     fn poll(&mut self, superstep: u64) -> Directives;
+    /// Blocks the leader while the service is idle: called after a
+    /// boundary that left no walker anywhere and directed no shutdown,
+    /// and must return once `poll` would have something to do (a queued
+    /// request or update, a shutdown). Returning early only costs an
+    /// empty boundary; returning late, or never, stalls the service —
+    /// the other ranks are blocked in their transport's next receive
+    /// until the leader comes back.
+    fn wait_for_work(&mut self);
 }
 
 /// A driver that never admits anything and immediately asks to shut
@@ -562,6 +573,7 @@ impl ServeDriver for NoopDriver {
             ..Directives::default()
         }
     }
+    fn wait_for_work(&mut self) {}
 }
 
 impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
@@ -800,10 +812,14 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                 if directives.shutdown {
                     break;
                 }
-                // Idle service: throttle the control loop rather than
-                // spinning through empty supersteps. Uniform across ranks
-                // (all saw active == 0), so no rank races ahead.
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                // Idle service: the leader parks in its driver until
+                // work arrives. The other ranks ship their next delta
+                // and block where their transport blocks — a socket
+                // read, or the in-process barrier's park — so an idle
+                // cluster exchanges nothing until the leader returns.
+                if let Some(d) = driver.as_mut() {
+                    d.wait_for_work();
+                }
                 superstep += 1;
                 continue;
             }
@@ -1044,6 +1060,7 @@ mod tests {
             dir.shutdown = self.done >= self.request.starts.len() as u64;
             dir
         }
+        fn wait_for_work(&mut self) {}
     }
 
     /// A served request's paths are byte-identical to a batch run with
@@ -1160,6 +1177,7 @@ mod tests {
                 dir.shutdown = self.killed;
                 dir
             }
+            fn wait_for_work(&mut self) {}
         }
 
         // Walk length far beyond the kill point: only the kill can end it.
@@ -1211,6 +1229,7 @@ mod tests {
             dir.shutdown = self.done >= self.want;
             dir
         }
+        fn wait_for_work(&mut self) {}
     }
 
     /// Incremental sampler maintenance: a batch touching k vertices

@@ -297,6 +297,7 @@ impl ServeDriver for TwoEpochDriver {
         dir.shutdown = superstep > 2 && self.done >= 2 * self.starts.len();
         dir
     }
+    fn wait_for_work(&mut self) {}
 }
 
 /// One served run: assembled paths of both requests and per-node metrics.

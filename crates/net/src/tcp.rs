@@ -690,6 +690,34 @@ mod tests {
         }
     }
 
+    /// What an idle serve cluster relies on: a rank that has shipped its
+    /// gather contribution and waits for the leader's broadcast blocks
+    /// in `recv` without writing a byte, however long the leader takes.
+    #[test]
+    fn rank_blocked_in_broadcast_sends_nothing() {
+        let results = mesh(2, |mut t| {
+            let me = Transport::<u64>::node(&t);
+            Transport::<u64>::gather_bytes(&mut t, vec![me as u8]);
+            let before = t.local_counts();
+            let payload = if me == 0 {
+                std::thread::sleep(Duration::from_millis(100));
+                vec![7]
+            } else {
+                Vec::new()
+            };
+            let got = Transport::<u64>::broadcast_bytes(&mut t, payload);
+            (before, t.local_counts(), got)
+        });
+        let (before, after, got) = &results[1];
+        assert_eq!(before, after, "the waiting rank wrote frames");
+        assert_eq!(got, &vec![7]);
+        let (before, after, _) = &results[0];
+        assert!(
+            after.bytes > before.bytes,
+            "the broadcast itself is counted"
+        );
+    }
+
     #[test]
     fn cluster_counts_are_collective_and_nonzero() {
         let results = mesh(2, |mut t| {

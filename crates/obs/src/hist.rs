@@ -114,19 +114,28 @@ impl Pow2Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`q` in `[0, 1]`), or 0 if empty. Exact to bucket resolution.
+    /// The `q`-quantile (`q` in `[0, 1]`), or 0 if empty: the bucket
+    /// holding the quantile's observation is found exactly, and the value
+    /// is interpolated linearly by rank inside it, with the bucket's range
+    /// first clamped to the observed min and max. The error is at most
+    /// the width of that clamped bucket — below a factor of two, and zero
+    /// at `q = 1` and for single-valued buckets at the extremes.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
+        let mut below = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_bounds(i).1.min(self.max);
+            if below + c >= rank {
+                let (lo, hi) = Self::bucket_bounds(i);
+                let (lo, hi) = (lo.max(self.min), hi.min(self.max));
+                // The bucket's `c` observations are taken as evenly
+                // spread: the k-th of them sits k/c of the way up.
+                let up = (hi - lo) as u128 * (rank - below) as u128 / c as u128;
+                return lo + up as u64;
             }
+            below += c;
         }
         self.max
     }
@@ -198,17 +207,30 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_are_bucket_resolution_upper_bounds() {
+    fn quantiles_interpolate_inside_the_bucket() {
         let mut h = Pow2Histogram::new();
         for _ in 0..99 {
             h.record(4); // bucket [4, 7]
         }
         h.record(1000); // bucket [512, 1023]
-        assert_eq!(h.quantile(0.5), 7);
+
+        // Rank 50 of the 99 in [4, 7]: 4 + 3 * 50 / 99.
+        assert_eq!(h.quantile(0.5), 5);
         assert_eq!(h.quantile(0.99), 7);
         assert_eq!(h.quantile(1.0), 1000, "clamped to observed max");
         let empty = Pow2Histogram::new();
         assert_eq!(empty.quantile(0.5), 0);
+
+        // Evenly spread values inside one bucket come back to within a
+        // rank's worth of the truth, not as the bucket's upper bound.
+        let mut h = Pow2Histogram::new();
+        for v in 1100..1900 {
+            h.record(v); // all in [1024, 2047]
+        }
+        assert_eq!(h.quantile(0.5), 1499);
+        assert_eq!(h.quantile(0.25), 1299);
+        assert_eq!(h.quantile(0.0), 1100, "rank 1 is the observed min");
+        assert_eq!(h.quantile(1.0), 1899);
     }
 
     #[test]
@@ -241,8 +263,8 @@ mod tests {
         assert_eq!(empty.quantile(-1.0), 0);
         assert_eq!(empty.quantile(2.0), 0);
 
-        // Every observation in one bucket: every quantile is that
-        // bucket's bound clamped to the observed max.
+        // Every observation one value: the clamped bucket has zero
+        // width, so every quantile is that value.
         let mut single = Pow2Histogram::new();
         for _ in 0..10 {
             single.record(5); // bucket [4, 7]
@@ -302,8 +324,10 @@ mod tests {
         assert_eq!(lo, 1u64 << 63);
         assert_eq!(hi, u64::MAX);
         assert_eq!(c, 3);
-        // Quantiles clamp to the observed max, not the bucket bound.
-        assert_eq!(h.quantile(0.5), u64::MAX);
+        // Quantiles stay inside the observed range and reach the
+        // observed max, not the bucket bound.
+        assert!(h.quantile(0.5) >= 1u64 << 63);
+        assert_eq!(h.quantile(1.0), u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         // Merging two saturated histograms keeps the top bucket intact.
         let mut other = Pow2Histogram::new();

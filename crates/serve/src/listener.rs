@@ -74,9 +74,20 @@ struct KksvHandler {
     service: ServiceHandle,
     reactor: ReactorHandle,
     /// Requests handed to the service whose responders have not yet
-    /// fired. Gates reactor shutdown: the loop must outlive every
-    /// response still owed to a client.
+    /// fired, plus one hold the listener itself keeps until the service
+    /// shuts down. Gates reactor shutdown — the loop must outlive every
+    /// response still owed to a client: whoever drops the count to zero
+    /// stops the reactor.
     inflight: Arc<AtomicUsize>,
+}
+
+/// Drops one hold on `inflight`; the last one out stops the reactor.
+/// Everything owed has by then been handed to the reactor's command
+/// queue or is already buffered, and `stop()` drains both.
+fn release(inflight: &AtomicUsize, reactor: &ReactorHandle) {
+    if inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
+        reactor.stop();
+    }
 }
 
 /// Encodes one `RESP` frame for `resp` answering request `seq`.
@@ -102,7 +113,7 @@ impl KksvHandler {
                 // drop the connection rather than leave it hung.
                 Err(_) => reactor.close(token),
             }
-            inflight.fetch_sub(1, Ordering::AcqRel);
+            release(&inflight, &reactor);
         }))
     }
 
@@ -211,9 +222,9 @@ pub fn serve_listener(listener: TcpListener, handle: ServiceHandle) -> io::Resul
 
 /// [`serve_listener`] with explicit front-door limits.
 ///
-/// Shutdown sequencing: once [`ServiceHandle::shutdown`] is observed
-/// *and* every request handed to the service has had its responder
-/// fire, the reactor is told to stop; it then flushes every
+/// Shutdown sequencing: once [`ServiceHandle::shutdown`] has been
+/// called *and* every request handed to the service has had its
+/// responder fire, the reactor is told to stop; it then flushes every
 /// connection's pending bytes before exiting, so no client loses a
 /// response it was owed.
 ///
@@ -225,7 +236,7 @@ pub fn serve_listener_with(
     handle: ServiceHandle,
     cfg: ListenerConfig,
 ) -> io::Result<()> {
-    let inflight = Arc::new(AtomicUsize::new(0));
+    let inflight = Arc::new(AtomicUsize::new(1));
     let rcfg = ReactorConfig {
         max_connections: cfg.max_connections,
         idle_timeout: cfg.idle_timeout,
@@ -242,14 +253,9 @@ pub fn serve_listener_with(
         })?
     };
     let rh = reactor.handle();
-    let watcher = thread::spawn(move || loop {
-        if handle.is_shutdown() && inflight.load(Ordering::Acquire) == 0 {
-            // All responders fired ⇒ their frames are in the reactor's
-            // command queue or already buffered; stop() drains both.
-            rh.stop();
-            return;
-        }
-        thread::sleep(Duration::from_millis(10));
+    let watcher = thread::spawn(move || {
+        handle.wait_shutdown();
+        release(&inflight, &rh);
     });
     let res = reactor.run();
     let _ = watcher.join();

@@ -103,12 +103,9 @@ pub fn metrics_listener(listener: TcpListener, handle: ServiceHandle) -> io::Res
         Reactor::new(listener, rcfg, move |_rh| ScrapeHandler { service })?
     };
     let rh = reactor.handle();
-    let watcher = thread::spawn(move || loop {
-        if handle.is_shutdown() {
-            rh.stop();
-            return;
-        }
-        thread::sleep(Duration::from_millis(10));
+    let watcher = thread::spawn(move || {
+        handle.wait_shutdown();
+        rh.stop();
     });
     let res = reactor.run();
     let _ = watcher.join();

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use knightking_cluster::comm::run_cluster_with_metrics;
@@ -112,6 +112,9 @@ struct QueuedUpdate {
 }
 
 /// State shared between the service loop and its handles.
+///
+/// Lock order: `stats` → `queue` → `updates` → `wake`. A thread holding
+/// one of them takes only locks to its right.
 pub(crate) struct ServeShared {
     cfg: ServiceConfig,
     queue: Mutex<FairQueue>,
@@ -120,6 +123,48 @@ pub(crate) struct ServeShared {
     stats: Mutex<ServeStats>,
     trace: Mutex<TraceLog>,
     conns: AtomicUsize,
+    /// Whether the leader is parked in [`ServeShared::wait_for_work`].
+    /// Submitters read it before signalling, so a busy loop costs them a
+    /// lock and no futex call.
+    wake: Mutex<bool>,
+    /// Signalled when a walk request, an update or a shutdown arrives
+    /// while the leader is parked.
+    work: Condvar,
+    /// Signalled by [`ServiceHandle::shutdown`]; waited on (with `wake`)
+    /// by [`ServiceHandle::wait_shutdown`].
+    down: Condvar,
+}
+
+impl ServeShared {
+    /// Parks the calling (leader) thread until a walk request or an
+    /// update is queued or a shutdown is requested; returns at once if
+    /// one already is.
+    fn wait_for_work(&self) {
+        loop {
+            // Checked with all three locks held, `wake` last: anything
+            // pushed after this check finds `wake` taken, so its signal
+            // cannot fire before the wait below has released the lock —
+            // no wake-up is lost, and a non-empty queue never parks.
+            let queue = lock(&self.queue);
+            let updates = lock(&self.updates);
+            let mut parked = lock(&self.wake);
+            if !queue.is_empty() || !updates.is_empty() || self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            drop(updates);
+            drop(queue);
+            *parked = true;
+            parked = wait(&self.work, parked);
+            *parked = false;
+        }
+    }
+
+    /// Wakes the leader if it is parked.
+    fn wake_leader(&self) {
+        if *lock(&self.wake) {
+            self.work.notify_one();
+        }
+    }
 }
 
 /// A clonable handle for submitting requests and steering the service.
@@ -171,10 +216,13 @@ impl ServiceHandle {
         };
         let mut queue = lock(&self.shared.queue);
         match queue.push(queued) {
-            Ok(()) => {}
+            // queue → wake: in order, and `wait_for_work` nests the same
+            // way.
+            Ok(()) => self.shared.wake_leader(),
             Err((back, why)) => {
-                // Release the queue before touching stats: poll() locks
-                // stats → queue, so holding queue → stats here could
+                // Release the queue before touching stats: the lock
+                // order is stats → queue → updates → wake (poll() nests
+                // stats → queue), so holding queue → stats here could
                 // deadlock.
                 drop(queue);
                 {
@@ -232,6 +280,7 @@ impl ServiceHandle {
             return;
         }
         updates.push_back(QueuedUpdate { batch, responder });
+        self.shared.wake_leader();
     }
 
     /// Asks the service to drain in-flight and already-queued work, then
@@ -239,11 +288,25 @@ impl ServiceHandle {
     /// callable from any thread (e.g. a signal watcher).
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Both waits check the flag holding `wake`, and `wake_leader`
+        // passes through that lock after the store: a waiter either saw
+        // the flag or is asleep by the time these signals fire.
+        self.shared.wake_leader();
+        self.shared.down.notify_all();
     }
 
     /// Whether a shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
         self.shared.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Blocks until a shutdown has been requested (returns at once if
+    /// one already was).
+    pub fn wait_shutdown(&self) {
+        let mut wake = lock(&self.shared.wake);
+        while !self.is_shutdown() {
+            wake = wait(&self.shared.down, wake);
+        }
     }
 
     /// A snapshot of the service's counters and histograms.
@@ -295,6 +358,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
+/// Waits on a condvar with [`lock`]'s view of poisoning.
+fn wait<'a, T>(cv: &Condvar, guard: std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+}
+
 /// The resident walk service.
 pub struct WalkService {
     shared: Arc<ServeShared>,
@@ -317,6 +385,9 @@ impl WalkService {
             stats: Mutex::new(ServeStats::default()),
             trace: Mutex::new(TraceLog::default()),
             conns: AtomicUsize::new(0),
+            wake: Mutex::new(false),
+            work: Condvar::new(),
+            down: Condvar::new(),
         });
         (
             WalkService {
@@ -708,7 +779,10 @@ impl ServeDriver for QueueDriver<'_> {
         let mut dir = Directives::default();
         let shared = self.shared.clone();
         let mut stats = lock(&shared.stats);
-        stats.supersteps += 1;
+        // A boundary with nothing in flight that finds nothing queued —
+        // the first of a service's life, the last before its exit — is
+        // not a superstep: the per-superstep series below skip it.
+        let mut busy = !self.pending.is_empty();
         stats.apply_live(&self.live_nodes);
         // apply_live overwrote the stitch counters with node sums; add
         // the leader's own, where stitched requests actually run.
@@ -736,7 +810,6 @@ impl ServeDriver for QueueDriver<'_> {
             }
             self.complete(tag, &mut stats);
         }
-        stats.completed_per_superstep.record(completed_now);
 
         // Deadlines: force-terminate overdue requests. Their walkers are
         // killed engine-side; fragments already collected are dropped.
@@ -768,6 +841,7 @@ impl ServeDriver for QueueDriver<'_> {
         // once the batch validates, since validation is ownership- and
         // rank-independent.
         if let Some(u) = lock(&shared.updates).pop_front() {
+            busy = true;
             let verdict = match self.dyn_graph {
                 None => Err("the served graph is a static CSR and cannot take live \
                      updates; serve a dynamic graph"
@@ -818,10 +892,11 @@ impl ServeDriver for QueueDriver<'_> {
         // Admissions: bounded batch off the queue, in weighted
         // fair-queueing order across tenants.
         let mut queue = lock(&shared.queue);
-        stats.queue_depth.record(queue.len() as u64);
+        let depth = queue.len() as u64;
         let mut admitted_now = 0u64;
         while (admitted_now as usize) < shared.cfg.max_admit_per_superstep {
             let Some(q) = queue.pop() else { break };
+            busy = true;
             let starts = match self.materialize_starts(&q.req.starts) {
                 Ok(s) => s,
                 Err(msg) => {
@@ -929,21 +1004,133 @@ impl ServeDriver for QueueDriver<'_> {
             stats.admitted += 1;
             admitted_now += 1;
         }
-        stats.admitted_per_superstep.record(admitted_now);
         stats.queue_len = queue.len() as u64;
-        let point = SeriesPoint {
-            superstep: stats.supersteps,
-            active_walkers: stats.active_walkers,
-            queue_depth: stats.queue_len,
-            admitted: stats.admitted,
-            completed: stats.completed,
-        };
-        stats.series.push(point);
+        if busy {
+            stats.supersteps += 1;
+            stats.completed_per_superstep.record(completed_now);
+            stats.queue_depth.record(depth);
+            stats.admitted_per_superstep.record(admitted_now);
+            let point = SeriesPoint {
+                superstep: stats.supersteps,
+                active_walkers: stats.active_walkers,
+                queue_depth: stats.queue_len,
+                admitted: stats.admitted,
+                completed: stats.completed,
+            };
+            stats.series.push(point);
+        }
 
         // Drain-then-exit: requests already queued at shutdown are still
         // admitted and finished; only new submissions are refused (the
         // handle gates those). The engine exits once no walker remains.
         dir.shutdown = shared.shutdown.load(Ordering::Acquire) && queue.is_empty();
         dir
+    }
+
+    fn wait_for_work(&mut self) {
+        self.shared.wait_for_work();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use knightking_core::Walker;
+    use knightking_graph::gen;
+
+    struct Fixed(u32);
+
+    impl WalkerProgram for Fixed {
+        type Data = ();
+        type Query = ();
+        type Answer = ();
+        const DYNAMIC: bool = false;
+
+        fn init_data(&self, _id: u64, _start: VertexId) {}
+        fn should_terminate(&self, w: &mut Walker<()>) -> bool {
+            w.step >= self.0
+        }
+    }
+
+    /// A boundary that finds nothing queued and nothing in flight — what
+    /// a wake-up for a shutdown, or a service's very first poll, sees —
+    /// leaves the per-superstep series alone; one that admits counts.
+    #[test]
+    fn idle_boundary_is_not_a_superstep() {
+        let graph = gen::uniform_degree(96, 6, gen::GenOptions::seeded(11));
+        let (service, handle) = WalkService::new(ServiceConfig::default());
+        let mut driver = QueueDriver::new(service.shared.clone(), GraphRef::from(&graph));
+
+        let dir = driver.poll(0);
+        assert!(dir.admit.is_empty() && !dir.shutdown);
+        let stats = handle.stats();
+        assert_eq!(stats.supersteps, 0);
+        assert!(stats.series.is_empty());
+        assert_eq!(stats.queue_depth.count(), 0);
+        assert_eq!(stats.admitted_per_superstep.count(), 0);
+        assert_eq!(stats.completed_per_superstep.count(), 0);
+
+        let _rx = handle.submit(WalkRequest {
+            seed: 7,
+            starts: StartSpec::Count(3),
+            deadline_ms: 0,
+            stitch: false,
+        });
+        assert_eq!(driver.poll(1).admit.len(), 1);
+        // In flight now, so the next boundary counts although it admits
+        // nothing.
+        assert!(driver.poll(2).admit.is_empty());
+        let stats = handle.stats();
+        assert_eq!(stats.supersteps, 2);
+        assert_eq!(stats.series.len(), 2);
+        assert_eq!(stats.admitted_per_superstep.count(), 2);
+    }
+
+    /// While the leader is parked on its empty queue, the other ranks of
+    /// an in-process service sleep in the barrier rather than spin on it
+    /// — and the barrier still delivers them to the next request.
+    /// ([`WalkService::run`] hides the node contexts, so this drives the
+    /// same loop through `run_cluster_with_metrics` itself.)
+    #[test]
+    fn idle_in_process_ranks_park_in_the_barrier() {
+        let graph = gen::uniform_degree(96, 6, gen::GenOptions::seeded(11));
+        let batch = RandomWalkEngine::new(&graph, Fixed(6), WalkConfig::single_node(7))
+            .run(WalkerStarts::Count(10));
+
+        let (service, handle) = WalkService::new(ServiceConfig::default());
+        let asker = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            let resp = handle
+                .submit(WalkRequest {
+                    seed: 7,
+                    starts: StartSpec::Count(10),
+                    deadline_ms: 0,
+                    stitch: false,
+                })
+                .recv()
+                .expect("request after idleness answered");
+            handle.shutdown();
+            resp
+        });
+
+        let mut cfg = WalkConfig::with_nodes(2, 999);
+        cfg.record_paths = true;
+        let graph_ref = GraphRef::from(&graph);
+        let engine = RandomWalkEngine::new(graph_ref, Fixed(6), cfg);
+        let (parks, _comm) = run_cluster_with_metrics::<Msg<Fixed>, _, _>(2, |ctx| {
+            let mut ctx = ctx;
+            if ctx.node == 0 {
+                let mut driver = QueueDriver::new(service.shared.clone(), graph_ref);
+                engine.run_service(&mut ctx, Some(&mut driver));
+            } else {
+                engine.run_service(&mut ctx, None::<&mut NoopDriver>);
+            }
+            ctx.barrier_parks()
+        });
+        assert!(parks[0] > 0, "the idle worker never parked");
+
+        let resp = asker.join().expect("asker thread");
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.paths, batch.paths);
     }
 }

@@ -331,8 +331,8 @@ impl ServeStats {
 }
 
 /// The flat stats snapshot a `Request::Stats` client receives: every
-/// counter and gauge plus bucket-resolution latency quantiles and the
-/// recent time series. All-integer so it stays `Eq` and cheap to encode.
+/// counter and gauge plus latency quantiles (interpolated inside their
+/// power-of-two bucket) and the recent time series. All-integer so it stays `Eq` and cheap to encode.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StatsReport {
     /// Requests admitted into the engine.
@@ -374,9 +374,11 @@ pub struct StatsReport {
     pub stitch_pool_dry: u64,
     /// Exact steps taken by the stitched fallback path (counter).
     pub stitch_fallback_steps: u64,
-    /// Request latency p50, bucket-resolution microseconds.
+    /// Request latency p50 in microseconds, interpolated inside its
+    /// histogram bucket.
     pub latency_p50_us: u64,
-    /// Request latency p99, bucket-resolution microseconds.
+    /// Request latency p99 in microseconds, interpolated inside its
+    /// histogram bucket.
     pub latency_p99_us: u64,
     /// Largest observed request latency, microseconds.
     pub latency_max_us: u64,
@@ -837,12 +839,30 @@ mod tests {
         assert_eq!(r.admitted, 10);
         assert_eq!(r.latency_count, 3);
         assert_eq!(r.latency_max_us, 5000);
-        assert!(r.latency_p50_us >= 100 && r.latency_p50_us <= 255);
+        // 200 is alone in [128, 255]; 5000 tops [4096, 8191], whose range
+        // is clamped to the observed max.
+        assert_eq!(r.latency_p50_us, 255);
         assert_eq!(r.latency_p99_us, 5000);
         assert_eq!(r.spans, 7);
         assert_eq!(r.spans_dropped, 2);
         assert_eq!(r.series.len(), 1);
         assert_eq!(r.series[0].active_walkers, 12);
+    }
+
+    /// A latency population inside one power-of-two bucket reports where
+    /// it sits in the bucket, not the bucket's upper bound (2 047 µs for a
+    /// 1.06 ms median, before quantiles interpolated).
+    #[test]
+    fn report_quantiles_resolve_inside_a_bucket() {
+        let mut s = ServeStats::default();
+        for v in 1030..1090 {
+            s.latency_us.record(v);
+        }
+        let r = s.report(0, 0);
+        assert_eq!(r.latency_p50_us, 1059);
+        assert_eq!(r.latency_p99_us, 1089);
+        let text = r.render_prometheus();
+        assert!(text.contains("kk_request_latency_us{quantile=\"0.5\"} 1059"));
     }
 
     #[test]

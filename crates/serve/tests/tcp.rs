@@ -3,13 +3,17 @@
 //! paths are byte-identical to a one-shot batch run with the same seed.
 
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Duration;
 
+use knightking_cluster::metrics::MetricCounts;
+use knightking_cluster::ExchangeStats;
 use knightking_core::{
     RandomWalkEngine, SpanEventKind, WalkConfig, Walker, WalkerProgram, WalkerStarts,
 };
 use knightking_graph::gen;
-use knightking_net::{reserve_loopback_addrs, TcpConfig, TcpTransport};
+use knightking_net::{reserve_loopback_addrs, TcpConfig, TcpTransport, Transport};
 use knightking_serve::{
     protocol, serve_listener, Request, ServiceConfig, StartSpec, Status, WalkRequest, WalkService,
 };
@@ -198,4 +202,129 @@ fn tcp_traced_query_gathers_spans_from_both_ranks() {
     log.write_chrome_trace(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
     assert!(text.contains("\"pid\":0") && text.contains("\"pid\":1"));
+}
+
+/// A [`TcpTransport`] that publishes its socket-level counters after
+/// every collective, so a test can read them while the service loop
+/// owns the transport.
+struct Watched {
+    inner: TcpTransport,
+    seen: Arc<Mutex<MetricCounts>>,
+}
+
+impl Watched {
+    fn publish<R>(&self, r: R) -> R {
+        *self.seen.lock().unwrap() = self.inner.local_counts();
+        r
+    }
+}
+
+impl<M> Transport<M> for Watched
+where
+    TcpTransport: Transport<M>,
+{
+    fn node(&self) -> usize {
+        Transport::<M>::node(&self.inner)
+    }
+    fn n_nodes(&self) -> usize {
+        Transport::<M>::n_nodes(&self.inner)
+    }
+    fn barrier(&mut self) {
+        Transport::<M>::barrier(&mut self.inner);
+        self.publish(())
+    }
+    fn allreduce_sum(&mut self, value: u64) -> u64 {
+        let r = Transport::<M>::allreduce_sum(&mut self.inner, value);
+        self.publish(r)
+    }
+    fn exchange_with_stats(
+        &mut self,
+        outbox: Vec<Vec<M>>,
+        wire_bytes: &dyn Fn(&M) -> usize,
+    ) -> (Vec<M>, ExchangeStats) {
+        let r = self.inner.exchange_with_stats(outbox, wire_bytes);
+        self.publish(r)
+    }
+    fn gather_bytes(&mut self, payload: Vec<u8>) -> Option<Vec<Vec<u8>>> {
+        let r = Transport::<M>::gather_bytes(&mut self.inner, payload);
+        self.publish(r)
+    }
+    fn broadcast_bytes(&mut self, payload: Vec<u8>) -> Vec<u8> {
+        let r = Transport::<M>::broadcast_bytes(&mut self.inner, payload);
+        self.publish(r)
+    }
+    fn cluster_counts(&mut self) -> MetricCounts {
+        let r = Transport::<M>::cluster_counts(&mut self.inner);
+        self.publish(r)
+    }
+}
+
+/// An idle cluster is silent: with the leader parked on its empty queue
+/// the worker blocks in the directive broadcast's `recv`, and neither
+/// rank writes a frame — where the polling loop exchanged a gather, a
+/// broadcast and an allreduce every millisecond. A request after the
+/// silence is still answered byte-identically to batch.
+#[test]
+fn idle_tcp_cluster_sends_no_frames() {
+    let graph = gen::uniform_degree(80, 5, gen::GenOptions::seeded(23));
+    let batch = RandomWalkEngine::new(&graph, Fixed(9), WalkConfig::single_node(7))
+        .run(WalkerStarts::Count(12));
+
+    let peers = reserve_loopback_addrs(2).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (service, handle) = WalkService::new(ServiceConfig::default());
+    let seen: [Arc<Mutex<MetricCounts>>; 2] = Default::default();
+
+    // Judged after the scope: a failed assertion inside it would leave
+    // the ranks running and turn a failure into a hang.
+    let (before, idle, resp, after) = thread::scope(|scope| {
+        let graph = &graph;
+        let service = &service;
+        for (rank, seen) in seen.iter().enumerate() {
+            let peers = peers.clone();
+            let seen = seen.clone();
+            scope.spawn(move || {
+                let inner = TcpTransport::establish(TcpConfig::new(rank, peers, 0x5E14)).unwrap();
+                let mut t = Watched { inner, seen };
+                let cfg = WalkConfig::with_nodes(2, 999);
+                if rank == 0 {
+                    service.run_leader(graph, Fixed(9), cfg, &mut t);
+                } else {
+                    WalkService::run_worker(graph, Fixed(9), cfg, &mut t);
+                }
+            });
+        }
+        let lh = handle.clone();
+        scope.spawn(move || serve_listener(listener, lh).unwrap());
+
+        let mut stream = protocol::connect(addr).unwrap();
+        let query = Request::Walk(WalkRequest {
+            seed: 7,
+            starts: StartSpec::Count(12),
+            deadline_ms: 0,
+            stitch: false,
+        });
+        // One answered request proves both loops are up; 50 ms later
+        // they have run out of boundaries to cross.
+        let warm = protocol::round_trip(&mut stream, 1, &query).unwrap();
+        assert_eq!(warm.status, Status::Ok);
+        thread::sleep(Duration::from_millis(50));
+        let snapshot = || [*seen[0].lock().unwrap(), *seen[1].lock().unwrap()];
+        let before = snapshot();
+        thread::sleep(Duration::from_millis(300));
+        let idle = snapshot();
+        let resp = protocol::round_trip(&mut stream, 2, &query).unwrap();
+        let after = snapshot();
+        let ack = protocol::round_trip(&mut stream, 3, &Request::Shutdown).unwrap();
+        assert_eq!(ack.status, Status::Ok);
+        (before, idle, resp, after)
+    });
+
+    assert!(before.iter().all(|c| c.bytes > 0), "both ranks have spoken");
+    assert_eq!(idle, before, "an idle cluster exchanged frames");
+    assert_eq!(resp.status, Status::Ok);
+    assert_eq!(resp.paths, batch.paths);
+    assert!(after[1].bytes > before[1].bytes);
+    assert_eq!(handle.stats().completed, 2);
 }

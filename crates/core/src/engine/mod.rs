@@ -23,13 +23,11 @@ mod first_order;
 mod instrument;
 mod second_order;
 mod serve;
-mod stitched;
 
 pub use serve::{
     AdmitRequest, Directives, EpochUpdate, FinishedWalk, LiveSample, NoopDriver, ServeDelta,
     ServeDriver, SpanEvent, SpanEventKind,
 };
-pub use stitched::{stitch_support, SegmentSource, StitchError, StitchedDriver};
 
 use std::collections::HashMap;
 use std::time::Instant;

@@ -283,14 +283,6 @@ pub struct LiveSample {
     /// edges touched per radix point-patch) — the live counter behind
     /// `kk_sampler_rebuild_cost_total`.
     pub sampler_rebuild_cost: u64,
-    /// Total precomputed segments spliced by stitched execution. Zero on
-    /// nodes other than the leader — stitched requests run leader-side.
-    pub segments_spliced: u64,
-    /// Total stitched-execution pool misses (dry, invalidated, or absent
-    /// pools).
-    pub stitch_pool_dry: u64,
-    /// Total exact steps taken by the stitched fallback path.
-    pub stitch_fallback_steps: u64,
     /// Cumulative nanoseconds per engine phase (the `knightking-obs`
     /// phase taxonomy, index order; all zeros when the engine was built
     /// without the `obs` feature). The slot count is part of the wire
@@ -300,7 +292,7 @@ pub struct LiveSample {
 
 impl Wire for LiveSample {
     fn wire_size(&self) -> usize {
-        8 * (9 + self.phase_ns.len())
+        8 * (6 + self.phase_ns.len())
     }
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         self.active.encode(out)?;
@@ -309,9 +301,6 @@ impl Wire for LiveSample {
         self.exchange_bytes.encode(out)?;
         self.sampler_rebuilds.encode(out)?;
         self.sampler_rebuild_cost.encode(out)?;
-        self.segments_spliced.encode(out)?;
-        self.stitch_pool_dry.encode(out)?;
-        self.stitch_fallback_steps.encode(out)?;
         for ns in &self.phase_ns {
             ns.encode(out)?;
         }
@@ -324,9 +313,6 @@ impl Wire for LiveSample {
         let exchange_bytes = u64::decode(input)?;
         let sampler_rebuilds = u64::decode(input)?;
         let sampler_rebuild_cost = u64::decode(input)?;
-        let segments_spliced = u64::decode(input)?;
-        let stitch_pool_dry = u64::decode(input)?;
-        let stitch_fallback_steps = u64::decode(input)?;
         let mut phase_ns = [0u64; N_PHASES];
         for ns in &mut phase_ns {
             *ns = u64::decode(input)?;
@@ -338,9 +324,6 @@ impl Wire for LiveSample {
             exchange_bytes,
             sampler_rebuilds,
             sampler_rebuild_cost,
-            segments_spliced,
-            stitch_pool_dry,
-            stitch_fallback_steps,
             phase_ns,
         })
     }
@@ -689,9 +672,6 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                     exchange_bytes: prof.exchange_bytes_total(),
                     sampler_rebuilds: metrics.sampler_rebuilds,
                     sampler_rebuild_cost: metrics.sampler_rebuild_cost,
-                    segments_spliced: metrics.segments_spliced,
-                    stitch_pool_dry: metrics.stitch_pool_dry,
-                    stitch_fallback_steps: metrics.stitch_fallback_steps,
                     phase_ns: prof.phase_ns_totals(),
                 },
             };
@@ -988,9 +968,6 @@ mod tests {
                 exchange_bytes: 4096,
                 sampler_rebuilds: 11,
                 sampler_rebuild_cost: 57,
-                segments_spliced: 13,
-                stitch_pool_dry: 2,
-                stitch_fallback_steps: 6,
                 phase_ns: [1, 2, 3, 4, 5, 6, 7, 8, 9],
             },
         };

@@ -64,9 +64,8 @@ pub use config::{CancelToken, SamplerBackend, WalkConfig, WalkerStarts};
 #[doc(hidden)]
 pub use engine::LOOKAHEAD;
 pub use engine::{
-    stitch_support, AdmitRequest, Directives, EpochUpdate, FinishedWalk, LiveSample, Msg,
-    NoopDriver, RandomWalkEngine, SegmentSource, ServeDelta, ServeDriver, SpanEvent, SpanEventKind,
-    StitchError, StitchedDriver,
+    AdmitRequest, Directives, EpochUpdate, FinishedWalk, LiveSample, Msg, NoopDriver,
+    RandomWalkEngine, ServeDelta, ServeDriver, SpanEvent, SpanEventKind,
 };
 pub use graphref::GraphRef;
 pub use metrics::WalkMetrics;

@@ -38,19 +38,6 @@ pub struct WalkMetrics {
     /// every O(log degree) radix point-patch. The counter that makes the
     /// alias-vs-radix maintenance asymptotics observable.
     pub sampler_rebuild_cost: u64,
-    /// Precomputed segments spliced into walks by stitched execution
-    /// (each splice covers up to L steps without sampling). Zero on exact
-    /// runs.
-    pub segments_spliced: u64,
-    /// Stitched-execution pool misses: times a walker stood at a vertex
-    /// whose segment pool was dry (exhausted, invalidated, or never
-    /// built) and had to fall back toward exact stepping.
-    pub stitch_pool_dry: u64,
-    /// Exact steps actually taken by the stitched fallback path. Can be
-    /// lower than `stitch_pool_dry` (a dry pool at a dead end terminates
-    /// without a step); the ratio against `steps` is the stitched mode's
-    /// step-work reduction.
-    pub stitch_fallback_steps: u64,
 }
 
 impl WalkMetrics {
@@ -67,9 +54,6 @@ impl WalkMetrics {
         self.iterations = self.iterations.max(other.iterations);
         self.sampler_rebuilds += other.sampler_rebuilds;
         self.sampler_rebuild_cost += other.sampler_rebuild_cost;
-        self.segments_spliced += other.segments_spliced;
-        self.stitch_pool_dry += other.stitch_pool_dry;
-        self.stitch_fallback_steps += other.stitch_fallback_steps;
     }
 
     /// Average `Pd` computations per walker move — the paper's
@@ -98,7 +82,7 @@ use knightking_net::{Wire, WireError};
 /// multi-process runs.
 impl Wire for WalkMetrics {
     fn wire_size(&self) -> usize {
-        14 * 8
+        11 * 8
     }
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         for v in [
@@ -113,9 +97,6 @@ impl Wire for WalkMetrics {
             self.iterations,
             self.sampler_rebuilds,
             self.sampler_rebuild_cost,
-            self.segments_spliced,
-            self.stitch_pool_dry,
-            self.stitch_fallback_steps,
         ] {
             v.encode(out)?;
         }
@@ -134,9 +115,6 @@ impl Wire for WalkMetrics {
             iterations: u64::decode(input)?,
             sampler_rebuilds: u64::decode(input)?,
             sampler_rebuild_cost: u64::decode(input)?,
-            segments_spliced: u64::decode(input)?,
-            stitch_pool_dry: u64::decode(input)?,
-            stitch_fallback_steps: u64::decode(input)?,
         })
     }
 }

@@ -74,25 +74,6 @@ pub trait WalkerProgram: Sync + Sized {
     /// message passing of §5.1.
     const SECOND_ORDER: bool = false;
 
-    /// Human-readable program name, used in CLI and stitched-execution
-    /// error messages so they can name the offending algorithm.
-    const NAME: &'static str = "walk";
-
-    /// Whether stitched (segment-pool) execution may answer this
-    /// program's walks.
-    ///
-    /// Only programs whose transition law is a fixed function of the
-    /// current vertex qualify: `Ps` per edge, no dynamic component, no
-    /// teleport, and termination depending only on the step count or the
-    /// walker's own RNG. Under those conditions a precomputed segment
-    /// starting at `v` is a distribution-faithful sample of the walk
-    /// measure from `v`, so splicing segments end-to-start composes
-    /// exactly (and truncating one mid-segment is valid by the Markov
-    /// property). Programs that consult walker state when choosing edges
-    /// — restart origins, meta-path schemes, the previous vertex — must
-    /// leave this `false`.
-    const STITCHABLE: bool = false;
-
     /// The static component `Ps(e)` — `edgeStaticComp`.
     ///
     /// Defaults to the edge weight (1 on unweighted graphs). The engine

@@ -61,12 +61,13 @@ proptest! {
         seed: u64,
         starts in start_spec(),
         deadline_ms: u64,
+        stitch: bool,
         shutdown: bool,
     ) {
         let req = if shutdown {
             Request::Shutdown
         } else {
-            Request::Walk(WalkRequest { seed, starts, deadline_ms })
+            Request::Walk(WalkRequest { seed, starts, deadline_ms, stitch })
         };
         round_trip(req);
     }

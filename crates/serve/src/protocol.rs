@@ -31,9 +31,10 @@ pub const SERVE_MAGIC: [u8; 4] = *b"KKSV";
 /// [`Request::Update`] and [`Status::Updated`]; version 3 added
 /// [`Request::Stats`] and [`Status::Stats`]; version 4 added the tenant
 /// id to the hello and per-tenant counters to [`StatsReport`]; version 5
-/// added [`WalkRequest::stitch`] and [`Status::Stitched`] for
-/// segment-pool approximate execution.
-pub const SERVE_VERSION: u16 = 5;
+/// added stitched (segment-pool) execution; version 6 removed it again —
+/// [`WalkRequest::stitch`] became a reserved byte, `Status` tag 7 and the
+/// three stitch counters of [`StatsReport`] went away.
+pub const SERVE_VERSION: u16 = 6;
 
 /// Longest tenant id a hello may carry.
 pub const MAX_TENANT_LEN: usize = 64;
@@ -188,12 +189,9 @@ pub struct WalkRequest {
     /// none. An expired request's walkers are force-terminated and the
     /// response carries [`Status::DeadlineExceeded`].
     pub deadline_ms: u64,
-    /// Ask for stitched (segment-pool) execution: the service splices
-    /// precomputed segments instead of stepping, falling back to exact
-    /// steps where a pool runs dry, and answers with
-    /// [`Status::Stitched`]. Requires the service to hold a pool for the
-    /// served program; answered [`Status::Invalid`] otherwise. Stitched
-    /// requests stay pinned to their admission epoch like exact ones.
+    /// Reserved: once asked for stitched (segment-pool) execution, which
+    /// was removed. The byte stays on the wire and must be `false`; a
+    /// request that sets it is answered [`Status::Invalid`].
     pub stitch: bool,
 }
 
@@ -312,16 +310,6 @@ pub enum Status {
     },
     /// A live stats snapshot (the answer to [`Request::Stats`]).
     Stats(Box<StatsReport>),
-    /// The walk completed via stitched execution; the response carries
-    /// its paths. The counters report how much of the walk was spliced
-    /// from the segment pool versus stepped exactly, so clients can judge
-    /// the approximation at a glance.
-    Stitched {
-        /// Precomputed segments spliced into the walks.
-        segments_spliced: u64,
-        /// Exact steps taken where pools ran dry.
-        fallback_steps: u64,
-    },
 }
 
 impl Wire for Status {
@@ -332,10 +320,6 @@ impl Wire for Status {
             Status::Invalid(msg) => 4 + msg.len(),
             Status::Updated { epoch } => epoch.wire_size(),
             Status::Stats(r) => r.wire_size(),
-            Status::Stitched {
-                segments_spliced,
-                fallback_steps,
-            } => segments_spliced.wire_size() + fallback_steps.wire_size(),
         }
     }
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
@@ -359,14 +343,6 @@ impl Wire for Status {
             Status::Stats(r) => {
                 out.push(6);
                 r.encode(out)?;
-            }
-            Status::Stitched {
-                segments_spliced,
-                fallback_steps,
-            } => {
-                out.push(7);
-                segments_spliced.encode(out)?;
-                fallback_steps.encode(out)?;
             }
         }
         Ok(())
@@ -398,10 +374,6 @@ impl Wire for Status {
                 epoch: u64::decode(input)?,
             }),
             6 => Ok(Status::Stats(Box::new(StatsReport::decode(input)?))),
-            7 => Ok(Status::Stitched {
-                segments_spliced: u64::decode(input)?,
-                fallback_steps: u64::decode(input)?,
-            }),
             b => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("wire: invalid Status tag {b}"),
@@ -599,13 +571,15 @@ mod tests {
             status: Status::Stats(Box::new(report)),
             paths: Vec::new(),
         });
-        round_trips(WalkResponse {
-            status: Status::Stitched {
-                segments_spliced: 42,
-                fallback_steps: 7,
-            },
-            paths: vec![vec![0, 5, 2], vec![3]],
-        });
+    }
+
+    #[test]
+    fn retired_status_tag_is_a_typed_error() {
+        // Tag 7 was `Stitched` in v5; nothing took its place.
+        let err =
+            from_bytes::<Status>(&[7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("invalid Status tag 7"), "{err}");
     }
 
     #[test]
@@ -648,6 +622,12 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("version 99"));
+
+        // The previous protocol version is refused, both versions named.
+        let mut bytes = hello_bytes("x").unwrap();
+        bytes[4..6].copy_from_slice(&5u16.to_le_bytes());
+        let err = split_hello(&bytes).unwrap_err().to_string();
+        assert!(err.contains("version 5") && err.contains("want 6"), "{err}");
 
         // An overlong length byte fails before the name even arrives.
         let mut bytes = hello_bytes("x").unwrap();

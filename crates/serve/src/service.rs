@@ -19,12 +19,10 @@ use knightking_cluster::comm::run_cluster_with_metrics;
 use knightking_core::result::PathEntry;
 use knightking_core::{
     AdmitRequest, Directives, EpochUpdate, GraphRef, Msg, NoopDriver, RandomWalkEngine, ServeDelta,
-    ServeDriver, StitchError, StitchedDriver, Transport, WalkConfig, WalkMetrics, WalkResult,
-    WalkerProgram, WalkerStarts,
+    ServeDriver, Transport, WalkConfig, WalkMetrics, WalkResult, WalkerProgram, WalkerStarts,
 };
 use knightking_dyn::{DynGraph, UpdateBatch};
 use knightking_graph::VertexId;
-use knightking_stitch::SegmentPool;
 
 use crate::protocol::{StartSpec, Status, WalkRequest, WalkResponse, DEFAULT_TENANT};
 use crate::qos::{FairQueue, Shed};
@@ -430,52 +428,6 @@ impl WalkService {
         outs.swap_remove(0)
     }
 
-    /// Like [`run`](WalkService::run), with an optional segment pool:
-    /// when `pool` is `Some`, requests with the stitch flag are answered
-    /// by splicing its precomputed segments (leader-side, at their
-    /// admission epoch) and marked [`Status::Stitched`]; exact requests
-    /// are untouched. Without a pool, stitched requests are refused with
-    /// [`Status::Invalid`].
-    ///
-    /// # Errors
-    ///
-    /// Fails up front — before any node thread starts — when a pool is
-    /// supplied for a program that stitched execution cannot answer
-    /// (second-order or otherwise walker-state-dependent).
-    pub fn run_with_pool<'g, P: WalkerProgram + Clone + Send + 'g>(
-        &self,
-        graph: impl Into<GraphRef<'g>>,
-        program: P,
-        mut cfg: WalkConfig,
-        pool: Option<SegmentPool>,
-    ) -> Result<WalkMetrics, StitchError> {
-        cfg.record_paths = true;
-        let n_nodes = cfg.n_nodes;
-        let graph: GraphRef<'g> = graph.into();
-        let stitch = match pool {
-            None => None,
-            Some(pool) => Some(StitchExec::new(graph, &program, pool)?),
-        };
-        // The node closure is shared across node threads; only node 0
-        // takes the exec out.
-        let stitch = Mutex::new(stitch);
-        let engine = RandomWalkEngine::new(graph, program, cfg);
-        let shared = &self.shared;
-        let stitch = &stitch;
-        let (mut outs, _comm) = run_cluster_with_metrics::<Msg<P>, _, _>(n_nodes, |ctx| {
-            let mut ctx = ctx;
-            if ctx.node == 0 {
-                let mut driver = QueueDriver::new(shared.clone(), graph);
-                driver.stitch = lock(stitch).take();
-                engine.run_service(&mut ctx, Some(&mut driver))
-            } else {
-                engine.run_service(&mut ctx, None::<&mut NoopDriver>)
-            }
-        });
-        self.drain_queue_shutting_down();
-        Ok(outs.swap_remove(0))
-    }
-
     /// Runs the service as the **leader rank of a real cluster** (e.g.
     /// rank 0 over a `TcpTransport` mesh). Blocks until shutdown drains.
     pub fn run_leader<'g, P: WalkerProgram, T: Transport<Msg<P>>>(
@@ -492,41 +444,6 @@ impl WalkService {
         let metrics = engine.run_service(transport, Some(&mut driver));
         self.drain_queue_shutting_down();
         metrics
-    }
-
-    /// [`run_leader`](WalkService::run_leader) with an optional segment
-    /// pool — the cluster twin of
-    /// [`run_with_pool`](WalkService::run_with_pool). The pool stays
-    /// leader-resident: workers never load or see segments, since
-    /// stitched requests execute entirely on the leader.
-    ///
-    /// # Errors
-    ///
-    /// Fails before serving when the pool's program is not stitchable.
-    pub fn run_leader_with_pool<'g, P, T>(
-        &self,
-        graph: impl Into<GraphRef<'g>>,
-        program: P,
-        mut cfg: WalkConfig,
-        transport: &mut T,
-        pool: Option<SegmentPool>,
-    ) -> Result<WalkMetrics, StitchError>
-    where
-        P: WalkerProgram + Clone + Send + 'g,
-        T: Transport<Msg<P>>,
-    {
-        cfg.record_paths = true;
-        let graph: GraphRef<'g> = graph.into();
-        let stitch = match pool {
-            None => None,
-            Some(pool) => Some(StitchExec::new(graph, &program, pool)?),
-        };
-        let engine = RandomWalkEngine::new(graph, program, cfg);
-        let mut driver = QueueDriver::new(self.shared.clone(), graph);
-        driver.stitch = stitch;
-        let metrics = engine.run_service(transport, Some(&mut driver));
-        self.drain_queue_shutting_down();
-        Ok(metrics)
     }
 
     /// Runs a **non-leader rank** of a real cluster: no queue, no
@@ -594,40 +511,6 @@ fn release_freed_memory() {
     }
 }
 
-/// Leader-side stitched-execution resources: the segment pool plus a
-/// runner monomorphized over the served program (boxed so `QueueDriver`
-/// stays non-generic). Stitched requests run synchronously in the
-/// leader's poll — the leader holds a full [`GraphRef`] at any world
-/// size, and splicing does no sampling, so the run is cheap relative to
-/// a superstep.
-pub(crate) struct StitchExec<'g> {
-    /// The segment pool; consumed across requests, invalidated on
-    /// updates.
-    pool: SegmentPool,
-    /// Runs the stitched driver: `(pool, starts, epoch, seed)`.
-    run: StitchRunner<'g>,
-}
-
-/// The boxed stitched-driver entry point held by [`StitchExec`].
-type StitchRunner<'g> =
-    Box<dyn Fn(&mut SegmentPool, &[VertexId], u64, u64) -> WalkResult + Send + 'g>;
-
-impl<'g> StitchExec<'g> {
-    /// Builds the exec for `program` over `graph`, validating
-    /// stitchability (same typed error the CLI raises at parse time).
-    fn new<P: WalkerProgram + Clone + Send + 'g>(
-        graph: GraphRef<'g>,
-        program: &P,
-        pool: SegmentPool,
-    ) -> Result<Self, StitchError> {
-        let driver = StitchedDriver::new(graph, program.clone())?;
-        Ok(StitchExec {
-            pool,
-            run: Box::new(move |pool, starts, epoch, seed| driver.run(pool, starts, epoch, seed)),
-        })
-    }
-}
-
 /// One admitted request awaiting completion.
 struct Pending {
     tenant: String,
@@ -680,14 +563,6 @@ pub(crate) struct QueueDriver<'g> {
     /// Tags of in-flight traced requests, so their completion can end
     /// the trace on every node via `Directives::end_traces`.
     traced: Vec<u64>,
-    /// Stitched-execution resources; `None` when the service holds no
-    /// segment pool (stitch-flagged requests are then refused).
-    stitch: Option<StitchExec<'g>>,
-    /// Cumulative leader-side stitched counters. Folded into the stats
-    /// after every `apply_live` (which overwrites the stitch counters
-    /// with node sums — zero in practice, since stitched requests never
-    /// enter the BSP loop).
-    stitch_totals: WalkMetrics,
 }
 
 impl<'g> QueueDriver<'g> {
@@ -706,8 +581,6 @@ impl<'g> QueueDriver<'g> {
             live_nodes: Vec::new(),
             admit_seq: 0,
             traced: Vec::new(),
-            stitch: None,
-            stitch_totals: WalkMetrics::default(),
         }
     }
 
@@ -784,11 +657,6 @@ impl ServeDriver for QueueDriver<'_> {
         // not a superstep: the per-superstep series below skip it.
         let mut busy = !self.pending.is_empty();
         stats.apply_live(&self.live_nodes);
-        // apply_live overwrote the stitch counters with node sums; add
-        // the leader's own, where stitched requests actually run.
-        stats.segments_spliced += self.stitch_totals.segments_spliced;
-        stats.stitch_pool_dry += self.stitch_totals.stitch_pool_dry;
-        stats.stitch_fallback_steps += self.stitch_totals.stitch_fallback_steps;
         stats.epoch = self.epoch;
         // Lag of the oldest pinned walker behind the live epoch (0 when
         // idle or fully caught up). min_pinned is this superstep's
@@ -857,12 +725,6 @@ impl ServeDriver for QueueDriver<'_> {
                 }
                 Ok(()) => {
                     self.epoch += 1;
-                    // Segments through any touched vertex are stale from
-                    // this epoch on; stitched requests pinned earlier keep
-                    // splicing them.
-                    if let Some(exec) = self.stitch.as_mut() {
-                        exec.pool.invalidate(&u.batch, self.epoch);
-                    }
                     dir.update = Some(EpochUpdate {
                         epoch: self.epoch,
                         batch: u.batch,
@@ -897,6 +759,17 @@ impl ServeDriver for QueueDriver<'_> {
         while (admitted_now as usize) < shared.cfg.max_admit_per_superstep {
             let Some(q) = queue.pop() else { break };
             busy = true;
+            if q.req.stitch {
+                q.responder.respond(WalkResponse {
+                    status: Status::Invalid(
+                        "stitched execution was removed (serve protocol v6); resend the \
+                         request with the reserved stitch byte clear"
+                            .to_string(),
+                    ),
+                    paths: Vec::new(),
+                });
+                continue;
+            }
             let starts = match self.materialize_starts(&q.req.starts) {
                 Ok(s) => s,
                 Err(msg) => {
@@ -907,55 +780,6 @@ impl ServeDriver for QueueDriver<'_> {
                     continue;
                 }
             };
-            if q.req.stitch {
-                // Stitched requests run synchronously right here: the
-                // leader holds a full graph view at any world size and
-                // splicing does no sampling, so the run is admission-cost.
-                // They never enter the BSP loop, count against the
-                // per-superstep admission budget, and pin the current
-                // epoch exactly like freshly admitted exact walkers.
-                let Some(exec) = self.stitch.as_mut() else {
-                    q.responder.respond(WalkResponse {
-                        status: Status::Invalid(
-                            "this service holds no segment pool; start it with a pool \
-                             (kk serve --pool) or resend the request without --stitch"
-                                .to_string(),
-                        ),
-                        paths: Vec::new(),
-                    });
-                    continue;
-                };
-                if q.req.deadline_ms > 0
-                    && q.enqueued.elapsed() >= Duration::from_millis(q.req.deadline_ms)
-                {
-                    stats.deadline_exceeded += 1;
-                    q.responder.respond(WalkResponse {
-                        status: Status::DeadlineExceeded,
-                        paths: Vec::new(),
-                    });
-                    continue;
-                }
-                let result = (exec.run)(&mut exec.pool, &starts, self.epoch, q.req.seed);
-                self.stitch_totals.merge(&result.metrics);
-                stats.segments_spliced += result.metrics.segments_spliced;
-                stats.stitch_pool_dry += result.metrics.stitch_pool_dry;
-                stats.stitch_fallback_steps += result.metrics.stitch_fallback_steps;
-                stats.admitted += 1;
-                stats.completed += 1;
-                stats
-                    .latency_us
-                    .record(q.enqueued.elapsed().as_micros() as u64);
-                admitted_now += 1;
-                queue.note_completed(&q.tenant);
-                q.responder.respond(WalkResponse {
-                    status: Status::Stitched {
-                        segments_spliced: result.metrics.segments_spliced,
-                        fallback_steps: result.metrics.stitch_fallback_steps,
-                    },
-                    paths: result.paths,
-                });
-                continue;
-            }
             if starts.is_empty() {
                 // Zero walkers: trivially complete.
                 stats.completed += 1;

@@ -98,14 +98,6 @@ pub struct ServeStats {
     /// rebuild, edges touched per O(log degree) radix point-patch
     /// (counter).
     pub sampler_rebuild_cost: u64,
-    /// Precomputed segments spliced by stitched requests (counter; zero
-    /// unless the service holds a segment pool).
-    pub segments_spliced: u64,
-    /// Stitched-execution pool misses — dry, invalidated, or never-built
-    /// vertex pools (counter).
-    pub stitch_pool_dry: u64,
-    /// Exact steps taken by the stitched fallback path (counter).
-    pub stitch_fallback_steps: u64,
     /// Cumulative nanoseconds per engine phase across the cluster
     /// (counters; all zeros when the engine was built without `obs`).
     pub phase_ns: [u64; N_PHASES],
@@ -140,9 +132,6 @@ impl Default for ServeStats {
             exchange_bytes: 0,
             sampler_rebuilds: 0,
             sampler_rebuild_cost: 0,
-            segments_spliced: 0,
-            stitch_pool_dry: 0,
-            stitch_fallback_steps: 0,
             phase_ns: [0; N_PHASES],
             latency_us: Pow2Histogram::new(),
             queue_depth: Pow2Histogram::new(),
@@ -164,9 +153,6 @@ impl ServeStats {
         self.exchange_bytes = nodes.iter().map(|s| s.exchange_bytes).sum();
         self.sampler_rebuilds = nodes.iter().map(|s| s.sampler_rebuilds).sum();
         self.sampler_rebuild_cost = nodes.iter().map(|s| s.sampler_rebuild_cost).sum();
-        self.segments_spliced = nodes.iter().map(|s| s.segments_spliced).sum();
-        self.stitch_pool_dry = nodes.iter().map(|s| s.stitch_pool_dry).sum();
-        self.stitch_fallback_steps = nodes.iter().map(|s| s.stitch_fallback_steps).sum();
         for i in 0..N_PHASES {
             self.phase_ns[i] = nodes.iter().map(|s| s.phase_ns[i]).sum();
         }
@@ -203,9 +189,6 @@ impl ServeStats {
             exchange_bytes: self.exchange_bytes,
             sampler_rebuilds: self.sampler_rebuilds,
             sampler_rebuild_cost: self.sampler_rebuild_cost,
-            segments_spliced: self.segments_spliced,
-            stitch_pool_dry: self.stitch_pool_dry,
-            stitch_fallback_steps: self.stitch_fallback_steps,
             latency_p50_us: self.latency_us.quantile(0.5),
             latency_p99_us: self.latency_us.quantile(0.99),
             latency_max_us: self.latency_us.max(),
@@ -237,9 +220,7 @@ impl ServeStats {
              \"shed\":{},\"deadline_exceeded\":{},\"updates\":{},\"supersteps\":{},\
              \"active_walkers\":{},\"queue_len\":{},\"epoch\":{},\"pinned_lag\":{},\
              \"steps\":{},\"trials\":{},\"exchange_bytes\":{},\
-             \"sampler_rebuilds\":{},\"sampler_rebuild_cost\":{},\
-             \"segments_spliced\":{},\"stitch_pool_dry\":{},\
-             \"stitch_fallback_steps\":{}}}",
+             \"sampler_rebuilds\":{},\"sampler_rebuild_cost\":{}}}",
             self.admitted,
             self.completed,
             self.rejected,
@@ -255,10 +236,7 @@ impl ServeStats {
             self.trials,
             self.exchange_bytes,
             self.sampler_rebuilds,
-            self.sampler_rebuild_cost,
-            self.segments_spliced,
-            self.stitch_pool_dry,
-            self.stitch_fallback_steps
+            self.sampler_rebuild_cost
         )?;
         for (name, h) in self.histograms() {
             write_hist_jsonl(w, 0, name, h)?;
@@ -368,12 +346,6 @@ pub struct StatsReport {
     /// Sampler maintenance cost in entry-edits (counter): degree per
     /// rebuild, edges touched per radix point-patch.
     pub sampler_rebuild_cost: u64,
-    /// Precomputed segments spliced by stitched requests (counter).
-    pub segments_spliced: u64,
-    /// Stitched-execution pool misses (counter).
-    pub stitch_pool_dry: u64,
-    /// Exact steps taken by the stitched fallback path (counter).
-    pub stitch_fallback_steps: u64,
     /// Request latency p50 in microseconds, interpolated inside its
     /// histogram bucket.
     pub latency_p50_us: u64,
@@ -461,7 +433,7 @@ impl Wire for TenantStat {
 impl StatsReport {
     /// The scalar fields in schema order, paired with their names —
     /// single source of truth for the wire codec.
-    fn scalars(&self) -> [u64; 26] {
+    fn scalars(&self) -> [u64; 23] {
         [
             self.admitted,
             self.completed,
@@ -479,9 +451,6 @@ impl StatsReport {
             self.exchange_bytes,
             self.sampler_rebuilds,
             self.sampler_rebuild_cost,
-            self.segments_spliced,
-            self.stitch_pool_dry,
-            self.stitch_fallback_steps,
             self.latency_p50_us,
             self.latency_p99_us,
             self.latency_max_us,
@@ -497,7 +466,7 @@ impl StatsReport {
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let counters: [(&str, u64); 15] = [
+        let counters: [(&str, u64); 12] = [
             ("kk_requests_admitted_total", self.admitted),
             ("kk_requests_completed_total", self.completed),
             ("kk_requests_rejected_total", self.rejected),
@@ -513,9 +482,6 @@ impl StatsReport {
             ("kk_exchange_bytes_total", self.exchange_bytes),
             ("kk_sampler_rebuilds_total", self.sampler_rebuilds),
             ("kk_sampler_rebuild_cost_total", self.sampler_rebuild_cost),
-            ("kk_segments_spliced_total", self.segments_spliced),
-            ("kk_stitch_pool_dry_total", self.stitch_pool_dry),
-            ("kk_stitch_fallback_steps_total", self.stitch_fallback_steps),
         ];
         for (name, v) in counters {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
@@ -620,13 +586,6 @@ impl StatsReport {
                 self.sampler_rebuild_cost as f64 / self.sampler_rebuilds as f64
             }
         );
-        if self.segments_spliced + self.stitch_pool_dry + self.stitch_fallback_steps > 0 {
-            let _ = writeln!(
-                out,
-                "  stitch     {:>10} segments spliced   {:>8} pool-dry   {:>10} fallback steps",
-                self.segments_spliced, self.stitch_pool_dry, self.stitch_fallback_steps
-            );
-        }
         let total_ns: u64 = self.phase_ns.iter().sum();
         if total_ns > 0 {
             let _ = writeln!(out, "  phase breakdown:");
@@ -665,7 +624,7 @@ impl StatsReport {
 
 impl Wire for StatsReport {
     fn wire_size(&self) -> usize {
-        8 * (26 + N_PHASES) + self.series.wire_size() + self.tenants.wire_size()
+        8 * (23 + N_PHASES) + self.series.wire_size() + self.tenants.wire_size()
     }
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         for v in self.scalars() {
@@ -678,7 +637,7 @@ impl Wire for StatsReport {
         self.tenants.encode(out)
     }
     fn decode(input: &mut &[u8]) -> io::Result<Self> {
-        let mut scalars = [0u64; 26];
+        let mut scalars = [0u64; 23];
         for v in &mut scalars {
             *v = u64::decode(input)?;
         }
@@ -686,7 +645,7 @@ impl Wire for StatsReport {
         for ns in &mut phase_ns {
             *ns = u64::decode(input)?;
         }
-        let [admitted, completed, rejected, shed, deadline_exceeded, updates, supersteps, active_walkers, queue_len, epoch, pinned_lag, steps, trials, exchange_bytes, sampler_rebuilds, sampler_rebuild_cost, segments_spliced, stitch_pool_dry, stitch_fallback_steps, latency_p50_us, latency_p99_us, latency_max_us, latency_count, latency_sum_us, spans, spans_dropped] =
+        let [admitted, completed, rejected, shed, deadline_exceeded, updates, supersteps, active_walkers, queue_len, epoch, pinned_lag, steps, trials, exchange_bytes, sampler_rebuilds, sampler_rebuild_cost, latency_p50_us, latency_p99_us, latency_max_us, latency_count, latency_sum_us, spans, spans_dropped] =
             scalars;
         Ok(StatsReport {
             admitted,
@@ -705,9 +664,6 @@ impl Wire for StatsReport {
             exchange_bytes,
             sampler_rebuilds,
             sampler_rebuild_cost,
-            segments_spliced,
-            stitch_pool_dry,
-            stitch_fallback_steps,
             latency_p50_us,
             latency_p99_us,
             latency_max_us,
@@ -736,9 +692,6 @@ mod tests {
             supersteps: 40,
             sampler_rebuilds: 6,
             sampler_rebuild_cost: 48,
-            segments_spliced: 20,
-            stitch_pool_dry: 2,
-            stitch_fallback_steps: 5,
             ..ServeStats::default()
         };
         for v in [100, 200, 5000] {
@@ -757,6 +710,14 @@ mod tests {
         s
     }
 
+    /// Stitched execution was removed; no sink may still expose one of
+    /// its counters under any name.
+    fn assert_no_stitch_names(text: &str) {
+        for gone in ["stitch", "spliced"] {
+            assert!(!text.contains(gone), "{gone:?} still exposed in:\n{text}");
+        }
+    }
+
     #[test]
     fn jsonl_lines_are_balanced_objects() {
         let mut buf = Vec::new();
@@ -771,9 +732,7 @@ mod tests {
         assert!(text.contains("\"type\":\"serve\""));
         assert!(text.contains("\"sampler_rebuilds\":6"));
         assert!(text.contains("\"sampler_rebuild_cost\":48"));
-        assert!(text.contains("\"segments_spliced\":20"));
-        assert!(text.contains("\"stitch_pool_dry\":2"));
-        assert!(text.contains("\"stitch_fallback_steps\":5"));
+        assert_no_stitch_names(&text);
         assert!(text.contains("\"name\":\"request_latency_us\""));
         assert!(text.contains("\"name\":\"queue_depth\""));
         assert!(text.contains("\"type\":\"series\""));
@@ -798,9 +757,6 @@ mod tests {
             exchange_bytes: 1000,
             sampler_rebuilds: 4,
             sampler_rebuild_cost: 64,
-            segments_spliced: 9,
-            stitch_pool_dry: 3,
-            stitch_fallback_steps: 7,
             phase_ns: [10, 0, 20, 30, 0, 0, 0, 5, 1],
         };
         let b = LiveSample {
@@ -810,9 +766,6 @@ mod tests {
             exchange_bytes: 200,
             sampler_rebuilds: 1,
             sampler_rebuild_cost: 8,
-            segments_spliced: 1,
-            stitch_pool_dry: 0,
-            stitch_fallback_steps: 2,
             phase_ns: [1, 0, 2, 3, 0, 0, 0, 4, 1],
         };
         s.apply_live(&[a, b]);
@@ -822,9 +775,6 @@ mod tests {
         assert_eq!(s.exchange_bytes, 1200);
         assert_eq!(s.sampler_rebuilds, 5);
         assert_eq!(s.sampler_rebuild_cost, 72);
-        assert_eq!(s.segments_spliced, 10);
-        assert_eq!(s.stitch_pool_dry, 3);
-        assert_eq!(s.stitch_fallback_steps, 9);
         assert_eq!(s.phase_ns[0], 11);
         assert_eq!(s.phase_ns[3], 33);
         // Re-applying newer samples replaces, not double-counts.
@@ -934,9 +884,6 @@ mod tests {
             "kk_exchange_bytes_total",
             "kk_sampler_rebuilds_total",
             "kk_sampler_rebuild_cost_total",
-            "kk_segments_spliced_total",
-            "kk_stitch_pool_dry_total",
-            "kk_stitch_fallback_steps_total",
             "kk_phase_ns_total{phase=\"exchange\"}",
             "kk_active_walkers",
             "kk_queue_depth",
@@ -949,6 +896,7 @@ mod tests {
         ] {
             assert!(text.contains(name), "missing metric {name} in:\n{text}");
         }
+        assert_no_stitch_names(&text);
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("name value");
@@ -973,7 +921,6 @@ mod tests {
         }
         let full = s.report(3, 0).render_dashboard();
         assert!(full.contains("phase breakdown"));
-        assert!(full.contains("segments spliced"));
         assert!(full.contains("local_compute"));
         assert!(full.contains("peak 16"));
     }

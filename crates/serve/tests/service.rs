@@ -61,6 +61,49 @@ fn served_node2vec_matches_batch_byte_for_byte() {
     assert_eq!(resp.paths, batch.paths);
 }
 
+/// The reserved stitch byte is refused with a `Status::Invalid` naming
+/// the removal — not silently served as an exact walk — and the refusal
+/// leaves the service intact: the next exact request on it is
+/// byte-identical to batch.
+#[test]
+fn stitch_requests_are_refused_and_the_service_keeps_serving() {
+    let graph = test_graph();
+
+    let batch = RandomWalkEngine::new(&graph, Fixed(10), WalkConfig::single_node(7))
+        .run(WalkerStarts::Count(4));
+
+    let (service, handle) = WalkService::new(ServiceConfig::default());
+    let client = handle.clone();
+    let asker = thread::spawn(move || {
+        let ask = |stitch| {
+            let rx = client.submit(WalkRequest {
+                seed: 7,
+                starts: StartSpec::Count(4),
+                deadline_ms: 0,
+                stitch,
+            });
+            rx.recv().expect("service dropped the responder")
+        };
+        let refused = ask(true);
+        let exact = ask(false);
+        client.shutdown();
+        (refused, exact)
+    });
+    service.run(&graph, Fixed(10), WalkConfig::single_node(999));
+    let (refused, exact) = asker.join().unwrap();
+
+    match refused.status {
+        Status::Invalid(msg) => assert!(
+            msg.contains("stitched execution was removed"),
+            "the refusal names the removal: {msg}"
+        ),
+        other => panic!("expected Status::Invalid, got {other:?}"),
+    }
+    assert!(refused.paths.is_empty());
+    assert_eq!(exact.status, Status::Ok);
+    assert_eq!(exact.paths, batch.paths);
+}
+
 /// Same byte-identity on a 2-node in-process cluster, with the request
 /// interleaved against another in-flight request.
 #[test]

@@ -46,10 +46,6 @@ impl WalkerProgram for DeepWalk {
     type Query = ();
     type Answer = ();
     const DYNAMIC: bool = false;
-    const NAME: &'static str = "deepwalk";
-    // First-order and walker-state-free: transitions depend only on the
-    // current vertex, so precomputed segments are valid continuations.
-    const STITCHABLE: bool = true;
 
     fn init_data(&self, _id: u64, _start: VertexId) {}
 

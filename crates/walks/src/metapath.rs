@@ -132,7 +132,6 @@ impl WalkerProgram for MetaPath {
     type Data = MetaPathState;
     type Query = ();
     type Answer = ();
-    const NAME: &'static str = "metapath";
 
     fn init_data(&self, id: u64, _start: VertexId) -> MetaPathState {
         // Random scheme assignment, reproducible per (seed, walker id).

@@ -105,7 +105,6 @@ impl WalkerProgram for Node2Vec {
     /// Whether `x` is adjacent to `t`.
     type Answer = bool;
     const SECOND_ORDER: bool = true;
-    const NAME: &'static str = "node2vec";
 
     fn init_data(&self, _id: u64, _start: VertexId) {}
 
@@ -226,7 +225,6 @@ impl WalkerProgram for IndexedNode2Vec {
     type Query = VertexId;
     type Answer = bool;
     const SECOND_ORDER: bool = true;
-    const NAME: &'static str = "node2vec";
 
     fn init_data(&self, id: u64, start: VertexId) {
         self.inner.init_data(id, start)

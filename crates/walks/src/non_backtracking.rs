@@ -50,7 +50,6 @@ impl WalkerProgram for NonBacktracking {
     type Data = ();
     type Query = ();
     type Answer = ();
-    const NAME: &'static str = "non-backtracking";
 
     fn init_data(&self, _id: u64, _start: VertexId) {}
 

@@ -72,10 +72,6 @@ impl WalkerProgram for Ppr {
     type Query = ();
     type Answer = ();
     const DYNAMIC: bool = false;
-    const NAME: &'static str = "ppr";
-    // Transitions are first-order; the geometric termination coin is
-    // checked per spliced step, so segments truncate correctly.
-    const STITCHABLE: bool = true;
 
     fn init_data(&self, _id: u64, _start: VertexId) {}
 

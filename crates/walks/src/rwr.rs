@@ -65,7 +65,6 @@ impl WalkerProgram for Rwr {
     type Query = ();
     type Answer = ();
     const DYNAMIC: bool = false;
-    const NAME: &'static str = "rwr";
 
     fn init_data(&self, _id: u64, start: VertexId) -> VertexId {
         start

@@ -17,7 +17,6 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use knightking::core::{stitch_support, StitchedDriver};
 use knightking::dynamic::{DynConfig, DynGraph, EdgeAdd, EdgeRef, EdgeReweight, UpdateBatch};
 use knightking::graph::{binfmt, gen, io as gio};
 use knightking::net::reserve_loopback_addrs;
@@ -25,8 +24,65 @@ use knightking::prelude::*;
 use knightking::serve::{
     metrics_listener, protocol, serve_listener_with, signal, Request, Status, WalkService,
 };
-use knightking::stitch::{PoolConfig, SegmentPool};
 use knightking::walks::analysis;
+
+/// The flags one subcommand accepts, as space-separated names.
+struct Flags {
+    /// The subcommand as typed after `kk`, for error messages.
+    cmd: &'static str,
+    /// `--key value` flags.
+    values: &'static str,
+    /// Boolean `--key` switches.
+    switches: &'static str,
+}
+
+impl Flags {
+    const fn new(cmd: &'static str, values: &'static str, switches: &'static str) -> Flags {
+        Flags {
+            cmd,
+            values,
+            switches,
+        }
+    }
+}
+
+/// How a graph file is read; every subcommand that loads one takes these.
+const GRAPH_INPUT: &str = "weighted typed directed";
+
+const GENERATE: Flags = Flags::new(
+    "generate",
+    "kind n scale degree cap gamma types seed output",
+    "weighted",
+);
+const CONVERT: Flags = Flags::new("convert", "input output", GRAPH_INPUT);
+const STATS: Flags = Flags::new("stats", "graph", GRAPH_INPUT);
+const WALK: Flags = Flags::new(
+    "walk",
+    "graph algo length p q pt restart walkers start nodes seed sampler output profile",
+    "weighted typed directed stats",
+);
+const SERVE: Flags = Flags::new(
+    "serve",
+    "graph algo length p q pt restart listen nodes queue-capacity max-admit retry-after seed \
+     max-connections idle-timeout-ms write-deadline-ms tenant-weight default-tenant-weight \
+     tenant-quota compact-ratio sampler stats-output metrics-addr trace-sample trace-output",
+    "weighted typed directed dynamic stats",
+);
+const QUERY: Flags = Flags::new(
+    "query",
+    "addr walkers start seed deadline tenant retries output",
+    "no-retry shutdown",
+);
+const TOP: Flags = Flags::new("top", "addr interval-ms count", "once");
+const UPDATE: Flags = Flags::new("update", "addr updates", "");
+const GRAPH_INFO: Flags = Flags::new("graph info", "graph nodes alpha", GRAPH_INPUT);
+const GRAPH_APPLY: Flags = Flags::new("graph apply", "graph updates output", GRAPH_INPUT);
+const CLUSTER: Flags = Flags::new("cluster", "nodes hostfile peers rank epoch", "");
+const EMBED: Flags = Flags::new(
+    "embed",
+    "graph p q length dims window negatives epochs lr nodes seed output",
+    GRAPH_INPUT,
+);
 
 /// Minimal flag parser: `--key value` pairs plus boolean `--key` flags.
 struct Args {
@@ -35,7 +91,13 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String], bool_flags: &[&str]) -> Result<Args, String> {
+    /// Parses `raw` against the flags `spec`'s subcommand accepts.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-`--` token, a flag `spec` does not list (a typo must
+    /// not silently run with the default), or a value flag at the end.
+    fn parse(raw: &[String], spec: &Flags) -> Result<Args, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
         let mut i = 0;
@@ -43,15 +105,18 @@ impl Args {
             let key = raw[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {:?}", raw[i]))?;
-            if bool_flags.contains(&key) {
+            let listed = |names: &str| names.split_whitespace().any(|n| n == key);
+            if listed(spec.switches) {
                 flags.push(key.to_string());
                 i += 1;
-            } else {
+            } else if listed(spec.values) {
                 let value = raw
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?;
                 values.insert(key.to_string(), value.clone());
                 i += 2;
+            } else {
+                return Err(format!("unknown flag --{key} for kk {}", spec.cmd));
             }
         }
         Ok(Args { values, flags })
@@ -256,16 +321,6 @@ fn cmd_walk(args: &Args, transport: Option<&mut TcpTransport>) -> Result<(), Str
     // naming the vertex, not an index panic deep inside the engine.
     starts.validate(graph.vertex_count())?;
 
-    if args.has("stitch") {
-        if transport.is_some() {
-            return Err(
-                "--stitch executes leader-side against a local pool; run it without `kk cluster`"
-                    .to_string(),
-            );
-        }
-        return cmd_walk_stitched(args, &graph, algo, seed, &starts);
-    }
-
     let mut cfg = WalkConfig::with_nodes(nodes, seed);
     cfg.sampler = SamplerBackend::parse(args.get("sampler").unwrap_or("alias"))?;
     cfg.record_paths = args.get("output").is_some() || args.has("stats");
@@ -361,93 +416,6 @@ fn cmd_walk(args: &Args, transport: Option<&mut TcpTransport>) -> Result<(), Str
         engine_result
             .write_paths(file)
             .map_err(|e| format!("writing {output}: {e}"))?;
-        eprintln!("paths written to {output}");
-    }
-    Ok(())
-}
-
-/// Parse-time gate for `--stitch`: checks the named algorithm against
-/// the stitchability contract before any graph or pool file is touched,
-/// so a second-order or walker-state-dependent program is a one-line
-/// error naming the program.
-fn validate_stitch_algo(algo: &str) -> Result<(), String> {
-    let gate =
-        |r: Result<(), knightking::core::StitchError>| r.map_err(|e| format!("--stitch: {e}"));
-    match algo {
-        "deepwalk" => gate(stitch_support::<DeepWalk>()),
-        "ppr" => gate(stitch_support::<Ppr>()),
-        "node2vec" => gate(stitch_support::<Node2Vec>()),
-        "metapath" => gate(stitch_support::<knightking::walks::MetaPath>()),
-        "rwr" => gate(stitch_support::<Rwr>()),
-        "nobacktrack" => gate(stitch_support::<NonBacktracking>()),
-        other => Err(format!(
-            "unknown --algo {other} (deepwalk|ppr|node2vec|metapath|rwr|nobacktrack)"
-        )),
-    }
-}
-
-/// `kk walk --stitch`: answer the walk by splicing segments from a
-/// prebuilt pool (`--pool`), stepping exactly only where the pool runs
-/// dry. Consumes pool segments in memory only — the file on disk is
-/// untouched, so repeated runs start from the same pool state.
-fn cmd_walk_stitched(
-    args: &Args,
-    graph: &CsrGraph,
-    algo: &str,
-    seed: u64,
-    starts: &WalkerStarts,
-) -> Result<(), String> {
-    validate_stitch_algo(algo)?;
-    let pool_path = args.require("pool")?;
-    let mut pool =
-        SegmentPool::load(pool_path).map_err(|e| format!("loading pool {pool_path}: {e}"))?;
-    if pool.info().vertex_count as usize != graph.vertex_count() {
-        return Err(format!(
-            "pool {pool_path} was built over {} vertices but the graph has {}",
-            pool.info().vertex_count,
-            graph.vertex_count()
-        ));
-    }
-    let start_list = starts.materialize(graph.vertex_count());
-    let length: u32 = args.parse_num("length", 80)?;
-    let epoch = pool.epoch();
-
-    let t0 = std::time::Instant::now();
-    let result = match algo {
-        "deepwalk" => StitchedDriver::new(graph, DeepWalk::new(length))
-            .map_err(|e| e.to_string())?
-            .run(&mut pool, &start_list, epoch, seed),
-        "ppr" => {
-            let pt: f64 = args.parse_num("pt", 1.0 / 80.0)?;
-            StitchedDriver::new(graph, Ppr::new(pt))
-                .map_err(|e| e.to_string())?
-                .run(&mut pool, &start_list, epoch, seed)
-        }
-        // validate_stitch_algo admits exactly the programs above.
-        other => return Err(format!("--stitch: unsupported --algo {other}")),
-    };
-    eprintln!(
-        "{} walks in {:?} (stitched: {} segments spliced, {} pool-dry misses, {} exact fallback steps)",
-        result.paths.len(),
-        t0.elapsed(),
-        result.metrics.segments_spliced,
-        result.metrics.stitch_pool_dry,
-        result.metrics.stitch_fallback_steps,
-    );
-
-    if args.has("stats") {
-        let ls = analysis::length_stats(&result.paths);
-        println!("walks            {}", ls.walks);
-        println!("mean length      {:.2}", ls.mean);
-        println!("min/max length   {}/{}", ls.min, ls.max);
-        println!(
-            "coverage         {:.1}%",
-            100.0 * analysis::coverage(&result.paths, graph.vertex_count())
-        );
-    }
-    if let Some(output) = args.get("output") {
-        let file = std::fs::File::create(output).map_err(|e| format!("creating {output}: {e}"))?;
-        write_path_lines(file, &result.paths)?;
         eprintln!("paths written to {output}");
     }
     Ok(())
@@ -573,41 +541,23 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let algo = args.require("algo")?;
     let length: u32 = args.parse_num("length", 80)?;
     let seed: u64 = args.parse_num("seed", 1)?;
-    // A pool turns on stitched serving: gate the program at parse time
-    // (so `--pool` with node2vec is a one-line error naming it), then
-    // load the segments the service will splice from.
-    let pool = match args.get("pool") {
-        Some(path) => {
-            validate_stitch_algo(algo)?;
-            let pool = SegmentPool::load(path).map_err(|e| format!("loading pool {path}: {e}"))?;
-            if pool.info().vertex_count as usize != graph.vertex_count() {
-                return Err(format!(
-                    "pool {path} was built over {} vertices but the graph has {}",
-                    pool.info().vertex_count,
-                    graph.vertex_count()
-                ));
-            }
-            Some(pool)
-        }
-        None => None,
-    };
     match algo {
-        "deepwalk" => serve_program(graph, DeepWalk::new(length), args, pool),
+        "deepwalk" => serve_program(graph, DeepWalk::new(length), args),
         "ppr" => {
             let pt: f64 = args.parse_num("pt", 1.0 / 80.0)?;
-            serve_program(graph, Ppr::new(pt), args, pool)
+            serve_program(graph, Ppr::new(pt), args)
         }
         "node2vec" => {
             let p: f64 = args.parse_num("p", 2.0)?;
             let q: f64 = args.parse_num("q", 0.5)?;
-            serve_program(graph, Node2Vec::new(p, q, length), args, pool)
+            serve_program(graph, Node2Vec::new(p, q, length), args)
         }
-        "metapath" => serve_program(graph, knightking::walks::MetaPath::paper(seed), args, pool),
+        "metapath" => serve_program(graph, knightking::walks::MetaPath::paper(seed), args),
         "rwr" => {
             let c: f64 = args.parse_num("restart", 0.15)?;
-            serve_program(graph, Rwr::new(c, length), args, pool)
+            serve_program(graph, Rwr::new(c, length), args)
         }
-        "nobacktrack" => serve_program(graph, NonBacktracking::new(length), args, pool),
+        "nobacktrack" => serve_program(graph, NonBacktracking::new(length), args),
         other => Err(format!(
             "unknown --algo {other} (deepwalk|ppr|node2vec|metapath|rwr|nobacktrack)"
         )),
@@ -638,13 +588,11 @@ fn parse_tenant_weights(spec: &str) -> Result<Vec<(String, u32)>, String> {
 }
 
 /// Runs the resident service for one program: TCP listener, signal
-/// handling, and the in-process node cluster. With a pool, requests
-/// carrying the stitch flag are answered by splicing its segments.
-fn serve_program<P: WalkerProgram + Clone + Send>(
+/// handling, and the in-process node cluster.
+fn serve_program<P: WalkerProgram>(
     graph: GraphRef<'_>,
     program: P,
     args: &Args,
-    pool: Option<SegmentPool>,
 ) -> Result<(), String> {
     use knightking::serve::ServiceConfig;
 
@@ -731,13 +679,6 @@ fn serve_program<P: WalkerProgram + Clone + Send>(
             ""
         }
     );
-    if let Some(p) = &pool {
-        let i = p.info();
-        eprintln!(
-            "segment pool loaded: {} segments (K = {}, L = {}, epoch {}); `kk query --stitch` splices them",
-            i.segments, i.segments_per_vertex, i.segment_length, i.epoch
-        );
-    }
 
     // The live metrics plane (phase breakdown, exchange bytes) rides the
     // obs profile; the service folds it in bounded live mode, so it is
@@ -745,9 +686,7 @@ fn serve_program<P: WalkerProgram + Clone + Send>(
     let mut wcfg = WalkConfig::with_nodes(nodes, seed);
     wcfg.sampler = SamplerBackend::parse(args.get("sampler").unwrap_or("alias"))?;
     wcfg.profile = true;
-    service
-        .run_with_pool(graph, program, wcfg, pool)
-        .map_err(|e| format!("stitched serving: {e}"))?;
+    service.run(graph, program, wcfg);
 
     // Give connection threads a bounded window to flush final responses.
     let t0 = std::time::Instant::now();
@@ -849,9 +788,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     if !wants_walk && !args.has("shutdown") {
         return Err("query needs --walkers, --start, or --shutdown".to_string());
     }
-    if args.has("stitch") && !wants_walk {
-        return Err("--stitch modifies a walk request; add --walkers or --start".to_string());
-    }
     let tenant = args.get("tenant").unwrap_or("");
     let mut stream =
         protocol::connect_as(addr, tenant).map_err(|e| format!("connecting to {addr}: {e}"))?;
@@ -869,7 +805,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             seed: args.parse_num("seed", 1)?,
             starts,
             deadline_ms: args.parse_num("deadline", 0)?,
-            stitch: args.has("stitch"),
+            stitch: false,
         });
         // A `Rejected` response is backpressure, not failure: honor the
         // service's retry-after hint with capped exponential backoff,
@@ -914,17 +850,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         match resp.status {
             Status::Ok => {
                 eprintln!("{} walks served", resp.paths.len());
-                emit_paths(&resp.paths)?;
-            }
-            Status::Stitched {
-                segments_spliced,
-                fallback_steps,
-            } => {
-                eprintln!(
-                    "{} walks served (stitched: {segments_spliced} segments spliced, \
-                     {fallback_steps} exact fallback steps)",
-                    resp.paths.len()
-                );
                 emit_paths(&resp.paths)?;
             }
             Status::Rejected { retry_after_ms } => {
@@ -1178,7 +1103,7 @@ fn cmd_graph_apply(args: &Args) -> Result<(), String> {
 
 /// `kk graph <info|apply> ...` dispatcher. `info` accepts the file as a
 /// positional argument (`kk graph info g.kkg`) or via `--graph`.
-fn cmd_graph(rest: &[String], bool_flags: &[&str]) -> Result<(), String> {
+fn cmd_graph(rest: &[String]) -> Result<(), String> {
     let Some((sub, sub_rest)) = rest.split_first() else {
         return Err("graph needs a subcommand: kk graph <info|apply> ...".to_string());
     };
@@ -1188,7 +1113,7 @@ fn cmd_graph(rest: &[String], bool_flags: &[&str]) -> Result<(), String> {
                 Some(first) if !first.starts_with("--") => (Some(first.clone()), &sub_rest[1..]),
                 _ => (None, sub_rest),
             };
-            let args = Args::parse(flag_args, bool_flags)?;
+            let args = Args::parse(flag_args, &GRAPH_INFO)?;
             let path = match (&positional, args.get("graph")) {
                 (Some(p), None) => p.clone(),
                 (None, Some(p)) => p.to_string(),
@@ -1199,101 +1124,8 @@ fn cmd_graph(rest: &[String], bool_flags: &[&str]) -> Result<(), String> {
             };
             cmd_graph_info(&path, &args)
         }
-        "apply" => cmd_graph_apply(&Args::parse(sub_rest, bool_flags)?),
+        "apply" => cmd_graph_apply(&Args::parse(sub_rest, &GRAPH_APPLY)?),
         other => Err(format!("unknown graph subcommand {other} (info|apply)")),
-    }
-}
-
-/// `kk pool build`: precompute a segment pool for stitched execution —
-/// K independent length-L segments per vertex, sampled by the named
-/// program's static kernel through the batch engine.
-fn cmd_pool_build(args: &Args) -> Result<(), String> {
-    let graph = load_graph(
-        args.require("graph")?,
-        args.has("weighted"),
-        args.has("typed"),
-        !args.has("directed"),
-    )?;
-    let algo = args.get("algo").unwrap_or("deepwalk");
-    validate_stitch_algo(algo)?;
-    let cfg = PoolConfig {
-        segments_per_vertex: args.parse_num("segments", 4)?,
-        segment_length: args.parse_num("seg-length", 16)?,
-        seed: args.parse_num("seed", 1)?,
-    };
-    let t0 = std::time::Instant::now();
-    let pool = match algo {
-        "deepwalk" => {
-            let length: u32 = args.parse_num("length", 80)?;
-            SegmentPool::build(&graph, &DeepWalk::new(length), cfg)
-        }
-        "ppr" => {
-            let pt: f64 = args.parse_num("pt", 1.0 / 80.0)?;
-            SegmentPool::build(&graph, &Ppr::new(pt), cfg)
-        }
-        // validate_stitch_algo admits exactly the programs above.
-        other => return Err(format!("--stitch: unsupported --algo {other}")),
-    }
-    .map_err(|e| format!("building pool: {e}"))?;
-    let output = args.require("output")?;
-    pool.save(output)
-        .map_err(|e| format!("saving {output}: {e}"))?;
-    let i = pool.info();
-    println!(
-        "wrote {output}: {} segments ({} entries) over {} vertices, K = {}, L = {}, epoch {}, built in {:?}",
-        i.segments,
-        i.entries,
-        i.vertex_count,
-        i.segments_per_vertex,
-        i.segment_length,
-        i.epoch,
-        t0.elapsed()
-    );
-    Ok(())
-}
-
-/// `kk pool info <file.kkp>`: print a pool's header and occupancy
-/// without loading a graph.
-fn cmd_pool_info(path: &str) -> Result<(), String> {
-    let pool = SegmentPool::load(path).map_err(|e| format!("loading {path}: {e}"))?;
-    let i = pool.info();
-    println!("epoch            {}", i.epoch);
-    println!("seed             {}", i.seed);
-    println!("segments/vertex  {}", i.segments_per_vertex);
-    println!("segment length   {}", i.segment_length);
-    println!("vertices         {}", i.vertex_count);
-    println!("segments         {}", i.segments);
-    println!("entries          {}", i.entries);
-    println!("consumed         {}", i.consumed);
-    println!("invalidated      {}", i.invalidated);
-    Ok(())
-}
-
-/// `kk pool <build|info> ...` dispatcher. `info` accepts the file as a
-/// positional argument (`kk pool info p.kkp`) or via `--pool`.
-fn cmd_pool(rest: &[String], bool_flags: &[&str]) -> Result<(), String> {
-    let Some((sub, sub_rest)) = rest.split_first() else {
-        return Err("pool needs a subcommand: kk pool <build|info> ...".to_string());
-    };
-    match sub.as_str() {
-        "build" => cmd_pool_build(&Args::parse(sub_rest, bool_flags)?),
-        "info" => {
-            let (positional, flag_args) = match sub_rest.first() {
-                Some(first) if !first.starts_with("--") => (Some(first.clone()), &sub_rest[1..]),
-                _ => (None, sub_rest),
-            };
-            let args = Args::parse(flag_args, bool_flags)?;
-            let path = match (&positional, args.get("pool")) {
-                (Some(p), None) => p.clone(),
-                (None, Some(p)) => p.to_string(),
-                (Some(_), Some(_)) => {
-                    return Err("give the pool positionally or via --pool, not both".to_string())
-                }
-                (None, None) => return Err("pool info needs a pool file".to_string()),
-            };
-            cmd_pool_info(&path)
-        }
-        other => Err(format!("unknown pool subcommand {other} (build|info)")),
     }
 }
 
@@ -1312,10 +1144,13 @@ fn cmd_cluster(cluster_args: &[String], walk_args: &[String]) -> Result<(), Stri
     if walk_args.first().map(String::as_str) != Some("walk") {
         return Err("cluster runs a walk: kk cluster ... -- walk ...".to_string());
     }
-    let args = Args::parse(cluster_args, &[])?;
+    let args = Args::parse(cluster_args, &CLUSTER)?;
+    // Parsed before anything is spawned or connected, so a bad walk flag
+    // is one error from the launcher, not one per worker.
+    let wargs = Args::parse(&walk_args[1..], &WALK)?;
     match args.get("rank") {
         None => cluster_launch(&args, walk_args),
-        Some(_) => cluster_worker(&args, walk_args),
+        Some(_) => cluster_worker(&args, &wargs),
     }
 }
 
@@ -1402,7 +1237,7 @@ fn cluster_launch(args: &Args, walk_args: &[String]) -> Result<(), String> {
 }
 
 /// Worker mode: join the TCP mesh as `--rank` and run the walk.
-fn cluster_worker(args: &Args, walk_args: &[String]) -> Result<(), String> {
+fn cluster_worker(args: &Args, wargs: &Args) -> Result<(), String> {
     let rank: usize = args.parse_num("rank", 0)?;
     let epoch: u64 = args.parse_num("epoch", 0)?;
     let peers = parse_peers(args)?;
@@ -1424,9 +1259,7 @@ fn cluster_worker(args: &Args, walk_args: &[String]) -> Result<(), String> {
     let mut transport = TcpTransport::establish(TcpConfig::new(rank, peers, epoch))
         .map_err(|e| format!("rank {rank}: establishing cluster: {e}"))?;
 
-    let bool_flags = ["weighted", "typed", "directed", "stats", "stitch"];
-    let wargs = Args::parse(&walk_args[1..], &bool_flags)?;
-    cmd_walk(&wargs, Some(&mut transport))
+    cmd_walk(wargs, Some(&mut transport))
 }
 
 const USAGE: &str = "\
@@ -1442,13 +1275,10 @@ USAGE:
               [--length N] [--p P] [--q Q] [--pt PT] [--restart C]
               [--walkers N|pervertex | --start v1,v2,...] [--nodes N] [--seed S]
               [--sampler alias|radix] [--output paths.txt] [--stats]
-              [--profile prof.jsonl] [--stitch --pool <file.kkp>]
+              [--profile prof.jsonl]
               --sampler picks the weighted static-component backend:
               alias (O(1) sample, O(degree) update) or radix (O(log n)
-              sample and update — for dynamic graphs under churn);
-              --stitch answers the walk approximately by splicing
-              precomputed segments from --pool (deepwalk|ppr only),
-              stepping exactly where the pool runs dry
+              sample and update — for dynamic graphs under churn)
   kk serve    --graph <file> --algo <...> [walk params as above]
               [--listen 127.0.0.1:0] [--nodes N] [--queue-capacity C]
               [--max-admit A] [--retry-after MS] [--seed S]
@@ -1459,7 +1289,7 @@ USAGE:
               [--dynamic] [--compact-ratio R] [--sampler alias|radix]
               [--stats] [--stats-output serve.jsonl]
               [--metrics-addr 127.0.0.1:0] [--trace-sample N]
-              [--trace-output trace.json] [--pool <file.kkp>]
+              [--trace-output trace.json]
               load the graph once, print `listening on <addr>`, and serve
               walk queries until `kk query --shutdown` or SIGINT/SIGTERM;
               all client connections share one event-loop thread
@@ -1473,18 +1303,14 @@ USAGE:
               endpoint (printed as `metrics on <addr>`), --trace-sample N
               traces every Nth request, and --trace-output writes the
               gathered spans as Chrome trace-event JSON (Perfetto /
-              chrome://tracing); --pool loads a segment pool so clients
-              may opt into stitched answers with `kk query --stitch`
-              (the pool's program must match --algo: deepwalk|ppr)
+              chrome://tracing)
   kk query    --addr <host:port> [--walkers N | --start v1,v2,...]
               [--seed S] [--deadline MS] [--tenant NAME] [--retries N]
-              [--no-retry] [--output paths.txt] [--stitch] [--shutdown]
+              [--no-retry] [--output paths.txt] [--shutdown]
               served paths are byte-identical to `kk walk` with the same
               seed and starts; --tenant names this client's QoS lane, and
               a Rejected response is retried with capped exponential
-              backoff (--retries, default 5) unless --no-retry; --stitch
-              asks for an approximate answer spliced from the service's
-              segment pool (requires `kk serve --pool`)
+              backoff (--retries, default 5) unless --no-retry
   kk top      --addr <host:port> [--interval-ms MS] [--count N] [--once]
               live dashboard for a running `kk serve`: requests, latency
               quantiles, phase breakdown, and an active-walker sparkline;
@@ -1500,15 +1326,6 @@ USAGE:
   kk graph    apply --graph <file> --updates <file> --output <file[.kkg]>
               materialize base graph + updates into a new graph file (the
               offline mirror of `kk update` against a live service)
-  kk pool     build --graph <file> [--algo deepwalk|ppr] [--length N]
-              [--pt PT] [--segments K] [--seg-length L] [--seed S]
-              --output <pool.kkp>
-              precompute K length-L walk segments per vertex for stitched
-              execution (`kk walk --stitch`, `kk serve --pool`); the
-              named program's static kernel drives the sampling
-  kk pool     info <pool.kkp>
-              print a pool's header and occupancy (K, L, epoch, segments
-              held/consumed/invalidated)
   kk cluster  [--nodes N] -- walk <walk args...>
               spawn N local worker processes talking real TCP on loopback
   kk cluster  --hostfile <file> --rank R [--epoch E] -- walk <walk args...>
@@ -1525,42 +1342,32 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let bool_flags = [
-        "weighted", "typed", "directed", "stats", "shutdown", "dynamic", "once", "no-retry",
-        "stitch",
-    ];
-    let result = if cmd == "cluster" {
+    let run = |spec: &Flags, f: fn(&Args) -> Result<(), String>| {
+        Args::parse(rest, spec).and_then(|args| f(&args))
+    };
+    let result = match cmd.as_str() {
         // `--` separates cluster flags from the walk invocation.
-        match rest.iter().position(|a| a == "--") {
+        "cluster" => match rest.iter().position(|a| a == "--") {
             Some(i) => cmd_cluster(&rest[..i], &rest[i + 1..]),
             None => Err("cluster needs `-- walk ...` after its flags".to_string()),
-        }
-    } else if cmd == "graph" {
+        },
         // `graph` takes a subcommand and (for `info`) a positional file,
         // so it parses its own flags.
-        cmd_graph(rest, &bool_flags)
-    } else if cmd == "pool" {
-        cmd_pool(rest, &bool_flags)
-    } else {
-        match Args::parse(rest, &bool_flags) {
-            Err(e) => Err(e),
-            Ok(args) => match cmd.as_str() {
-                "generate" => cmd_generate(&args),
-                "convert" => cmd_convert(&args),
-                "stats" => cmd_stats(&args),
-                "walk" => cmd_walk(&args, None),
-                "serve" => cmd_serve(&args),
-                "query" => cmd_query(&args),
-                "update" => cmd_update(&args),
-                "top" => cmd_top(&args),
-                "embed" => cmd_embed(&args),
-                "help" | "--help" | "-h" => {
-                    print!("{USAGE}");
-                    Ok(())
-                }
-                other => Err(format!("unknown command {other}")),
-            },
+        "graph" => cmd_graph(rest),
+        "generate" => run(&GENERATE, cmd_generate),
+        "convert" => run(&CONVERT, cmd_convert),
+        "stats" => run(&STATS, cmd_stats),
+        "walk" => run(&WALK, |args| cmd_walk(args, None)),
+        "serve" => run(&SERVE, cmd_serve),
+        "query" => run(&QUERY, cmd_query),
+        "update" => run(&UPDATE, cmd_update),
+        "top" => run(&TOP, cmd_top),
+        "embed" => run(&EMBED, cmd_embed),
+        "help" | "--help" | "-h" => {
+            print!("{USAGE}");
+            Ok(())
         }
+        other => Err(format!("unknown command {other}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

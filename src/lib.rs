@@ -35,10 +35,6 @@
 //!   requests are admitted continuously at superstep boundaries, with
 //!   bounded-queue backpressure, per-request deadlines, and live graph
 //!   updates ([`knightking_serve`]).
-//! * [`stitch`] — the segment pool for approximate long walks:
-//!   precomputed short segments spliced end-to-start at query time, with
-//!   exact fallback when a vertex's pool runs dry
-//!   ([`knightking_stitch`]).
 //!
 //! # Quick start
 //!
@@ -72,7 +68,6 @@ pub use knightking_graph as graph;
 pub use knightking_net as net;
 pub use knightking_sampling as sampling;
 pub use knightking_serve as serve;
-pub use knightking_stitch as stitch;
 pub use knightking_walks as walks;
 
 pub use knightking_core::{

@@ -198,108 +198,39 @@ fn embed_produces_word2vec_format() {
     std::fs::remove_file(&emb).ok();
 }
 
-/// `--stitch` is validated at argument-parse time: second-order and
-/// walker-state-dependent programs fail with a one-line error naming the
-/// program, before any pool file is opened. Stitchable programs run end
-/// to end through `kk pool build` → `kk walk --stitch`.
+/// A flag the subcommand does not take is refused before any file is
+/// opened, on one line naming the flag and the subcommand — a typo
+/// (`--lenght`) or a flag of the removed stitched execution must not
+/// silently run the default walk. None of the named files exist.
 #[test]
-fn stitch_flag_is_validated_per_program() {
-    let graph = tmp("stitch.kkg");
-    let pool = tmp("stitch.kkp");
-    let paths = tmp("stitch_paths.txt");
-
-    kk().args([
-        "generate", "--kind", "uniform", "--n", "500", "--degree", "6",
-    ])
-    .args(["--seed", "5", "--output", graph.to_str().unwrap()])
-    .output()
-    .expect("generate");
-
-    // Second-order program: rejected by name, even with no pool on disk.
-    let out = kk()
-        .args(["walk", "--graph", graph.to_str().unwrap()])
-        .args(["--algo", "node2vec", "--walkers", "10", "--stitch"])
-        .args(["--pool", pool.to_str().unwrap()])
-        .output()
-        .expect("run kk walk");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("node2vec"), "{stderr}");
-    assert!(stderr.contains("second-order"), "{stderr}");
-
-    // Walker-state-dependent program: likewise rejected by name.
-    let out = kk()
-        .args(["walk", "--graph", graph.to_str().unwrap()])
-        .args(["--algo", "rwr", "--walkers", "10", "--stitch"])
-        .args(["--pool", pool.to_str().unwrap()])
-        .output()
-        .expect("run kk walk");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("rwr"), "{stderr}");
-    assert!(stderr.contains("walker state"), "{stderr}");
-
-    // `kk pool build` applies the same gate.
-    let out = kk()
-        .args(["pool", "build", "--graph", graph.to_str().unwrap()])
-        .args(["--algo", "node2vec", "--output", pool.to_str().unwrap()])
-        .output()
-        .expect("run kk pool build");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("node2vec"));
-
-    // The stitchable path runs end to end: build a pool, splice from it.
-    let out = kk()
-        .args(["pool", "build", "--graph", graph.to_str().unwrap()])
-        .args([
-            "--algo",
-            "deepwalk",
-            "--segments",
-            "4",
-            "--seg-length",
-            "10",
-        ])
-        .args(["--seed", "9", "--output", pool.to_str().unwrap()])
-        .output()
-        .expect("run kk pool build");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("K = 4"));
-
-    let out = kk()
-        .args(["pool", "info", pool.to_str().unwrap()])
-        .output()
-        .expect("run kk pool info");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("segments/vertex  4"), "{stdout}");
-    assert!(stdout.contains("segment length   10"), "{stdout}");
-
-    let out = kk()
-        .args(["walk", "--graph", graph.to_str().unwrap()])
-        .args(["--algo", "deepwalk", "--length", "40", "--walkers", "25"])
-        .args(["--stitch", "--pool", pool.to_str().unwrap()])
-        .args(["--seed", "3", "--output", paths.to_str().unwrap()])
-        .output()
-        .expect("run kk walk --stitch");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("segments spliced"), "{stderr}");
-    let corpus = std::fs::read_to_string(&paths).expect("paths written");
-    assert_eq!(corpus.lines().count(), 25);
-    // Full-length walks: 40 steps = 41 vertices per line.
-    for line in corpus.lines() {
-        assert_eq!(line.split_whitespace().count(), 41, "{line}");
+fn unknown_flags_are_refused_by_name() {
+    let cases = [
+        (
+            "walk --graph nope.kkg --algo deepwalk --stitch",
+            "error: unknown flag --stitch for kk walk",
+        ),
+        (
+            "serve --graph nope.kkg --algo deepwalk --pool nope.kkp",
+            "error: unknown flag --pool for kk serve",
+        ),
+        (
+            "query --addr 127.0.0.1:1 --walkers 4 --stitch",
+            "error: unknown flag --stitch for kk query",
+        ),
+        (
+            "pool build --graph nope.kkg --output nope.kkp",
+            "error: unknown command pool",
+        ),
+        (
+            "walk --graph nope.kkg --algo deepwalk --lenght 5",
+            "error: unknown flag --lenght for kk walk",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = kk().args(args.split(' ')).output().expect("run kk");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().next(), Some(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("nope"), "{args:?} opened a file: {stderr}");
     }
-
-    std::fs::remove_file(&graph).ok();
-    std::fs::remove_file(&pool).ok();
-    std::fs::remove_file(&paths).ok();
 }

@@ -246,148 +246,6 @@ pub mod graphs {
     }
 }
 
-/// Machine-readable benchmark emission.
-///
-/// A harness binary prints its human table and *also* drops a
-/// `BENCH_<name>.json` in the working directory so the perf trajectory
-/// is tracked across commits: each file carries the workload
-/// description, the measured rows (p50/p99/max latency and throughput),
-/// and the git revision it was measured at. Hand-rolled JSON like every
-/// other emitter in the repo — no serde.
-pub mod emit {
-    use std::io::{self, Write};
-    use std::path::PathBuf;
-
-    /// One measured configuration in a benchmark sweep.
-    #[derive(Debug, Clone)]
-    pub struct BenchRow {
-        /// Which sweep point this row is (e.g. `"16 clients, traced"`).
-        pub label: String,
-        /// Requests that completed `Ok`.
-        pub ok: u64,
-        /// Requests shed with `Rejected` (admission backpressure).
-        pub rejected: u64,
-        /// Median end-to-end latency, microseconds.
-        pub p50_us: u64,
-        /// 99th-percentile end-to-end latency, microseconds.
-        pub p99_us: u64,
-        /// Worst observed latency, microseconds.
-        pub max_us: u64,
-        /// Completed requests per wall-clock second.
-        pub req_per_s: f64,
-    }
-
-    /// A benchmark report accumulating rows for one `BENCH_*.json`.
-    #[derive(Debug, Clone)]
-    pub struct BenchReport {
-        name: String,
-        workload: String,
-        rows: Vec<BenchRow>,
-    }
-
-    /// The current git revision (short), or `"unknown"` outside a work
-    /// tree — bench output must never fail on a tarball checkout.
-    pub fn git_rev() -> String {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    }
-
-    fn escape(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-
-    impl BenchReport {
-        /// A report named `name` (the file becomes `BENCH_<name>.json`)
-        /// measuring `workload`.
-        pub fn new(name: &str, workload: &str) -> Self {
-            BenchReport {
-                name: name.to_string(),
-                workload: workload.to_string(),
-                rows: Vec::new(),
-            }
-        }
-
-        /// Appends one measured row.
-        pub fn push(&mut self, row: BenchRow) {
-            self.rows.push(row);
-        }
-
-        /// Renders the report as a JSON document.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            out.push_str("{\n");
-            out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.name)));
-            out.push_str(&format!(
-                "  \"workload\": \"{}\",\n",
-                escape(&self.workload)
-            ));
-            out.push_str(&format!("  \"git_rev\": \"{}\",\n", escape(&git_rev())));
-            out.push_str("  \"rows\": [\n");
-            for (i, r) in self.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"label\": \"{}\", \"ok\": {}, \"rejected\": {}, \"p50_us\": {}, \
-                     \"p99_us\": {}, \"max_us\": {}, \"req_per_s\": {:.2}}}{}\n",
-                    escape(&r.label),
-                    r.ok,
-                    r.rejected,
-                    r.p50_us,
-                    r.p99_us,
-                    r.max_us,
-                    r.req_per_s,
-                    if i + 1 == self.rows.len() { "" } else { "," }
-                ));
-            }
-            out.push_str("  ]\n}\n");
-            out
-        }
-
-        /// Writes `BENCH_<name>.json` in the working directory and
-        /// returns its path.
-        ///
-        /// # Errors
-        ///
-        /// Propagates file creation and write failures.
-        pub fn write(&self) -> io::Result<PathBuf> {
-            let path = PathBuf::from(format!("BENCH_{}.json", self.name));
-            let mut f = std::fs::File::create(&path)?;
-            f.write_all(self.render().as_bytes())?;
-            f.flush()?;
-            Ok(path)
-        }
-    }
-}
-
-/// Renders a one-line per-phase breakdown (`name 12.3% (0.45s)`, nonzero
-/// phases only, stage order) from a `phase_ns` array indexed by
-/// [`knightking_obs::Phase`].
-pub fn phase_breakdown(phase_ns: &[u64]) -> String {
-    use knightking_obs::Phase;
-    let total: u64 = phase_ns.iter().sum();
-    if total == 0 {
-        return "no phase samples (profiling off?)".to_string();
-    }
-    Phase::ALL
-        .iter()
-        .filter(|p| phase_ns[p.index()] > 0)
-        .map(|p| {
-            let ns = phase_ns[p.index()];
-            format!(
-                "{} {:.1}% ({:.2}s)",
-                p.name(),
-                ns as f64 / total as f64 * 100.0,
-                ns as f64 / 1e9
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// Times a closure, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let begin = Instant::now();
@@ -545,40 +403,6 @@ mod tests {
         assert!(HarnessOpts::parse(&strs(&["--nodes", "0"]))
             .unwrap_err()
             .contains("at least 1"));
-    }
-
-    #[test]
-    fn bench_report_renders_valid_json_shape() {
-        let mut r = emit::BenchReport::new("unit_test", "tiny \"quoted\" workload");
-        r.push(emit::BenchRow {
-            label: "1 client".into(),
-            ok: 4,
-            rejected: 0,
-            p50_us: 1500,
-            p99_us: 2500,
-            max_us: 3000,
-            req_per_s: 12.5,
-        });
-        r.push(emit::BenchRow {
-            label: "4 clients, traced".into(),
-            ok: 16,
-            rejected: 3,
-            p50_us: 1600,
-            p99_us: 2600,
-            max_us: 3100,
-            req_per_s: 40.0,
-        });
-        let text = r.render();
-        assert!(text.contains("\"bench\": \"unit_test\""));
-        assert!(text.contains("\\\"quoted\\\""));
-        assert!(text.contains("\"git_rev\": \""));
-        assert!(text.contains("\"p99_us\": 2600"));
-        // Structurally balanced and rows separated by exactly one comma.
-        assert_eq!(
-            text.matches(['{', '[']).count(),
-            text.matches(['}', ']']).count()
-        );
-        assert_eq!(text.matches("{\"label\"").count(), 2);
     }
 
     #[test]

@@ -224,11 +224,9 @@ pub struct WalkConfig {
     /// vertex's maximum weight.
     pub decoupled_static: bool,
     /// Collect a per-run observability profile (phase timers, trace
-    /// events, histograms) into `WalkResult::profile`. Only effective when
-    /// the crate's `obs` feature (default on) is enabled; otherwise the
-    /// flag is accepted and ignored. Profiling never changes walk results:
-    /// instrumentation is accumulated per chunk and merged in chunk order,
-    /// like every other engine output.
+    /// events, histograms) into `WalkResult::profile`. Profiling never
+    /// changes walk results: instrumentation is accumulated per chunk and
+    /// merged in chunk order, like every other engine output.
     pub profile: bool,
     /// Optional cooperative cancellation token (see [`CancelToken`]).
     /// When set, the engine spends one extra allreduce per superstep to

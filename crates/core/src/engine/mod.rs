@@ -938,7 +938,7 @@ struct NodeOut {
     paths: Vec<PathEntry>,
     metrics: WalkMetrics,
     active_series: Vec<u64>,
-    profile: instrument::NodeProfileOut,
+    profile: Option<knightking_obs::NodeProfile>,
 }
 
 /// The engine: a graph, a program, and a configuration.
@@ -1042,7 +1042,6 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
         let mut metrics = WalkMetrics::default();
         let mut active_series = Vec::new();
         let mut observation: Option<O::Acc> = None;
-        #[cfg(feature = "obs")]
         let mut node_profiles: Vec<knightking_obs::NodeProfile> = Vec::new();
         for (i, (out, obs_acc)) in outs.into_iter().enumerate() {
             fragments.extend(out.paths);
@@ -1054,17 +1053,13 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                 None => observation = Some(obs_acc),
                 Some(into) => observer.merge(into, obs_acc),
             }
-            #[cfg(feature = "obs")]
             node_profiles.extend(out.profile);
-            #[cfg(not(feature = "obs"))]
-            let () = out.profile;
         }
         let paths = if self.config.record_paths {
             WalkResult::assemble_paths(n_walkers, fragments)
         } else {
             Vec::new()
         };
-        #[cfg(feature = "obs")]
         let profile = if node_profiles.is_empty() {
             None
         } else {
@@ -1078,15 +1073,12 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                 wall_nanos: begin.elapsed().as_nanos() as u64,
             })
         };
-        #[cfg(not(feature = "obs"))]
-        let _ = finalize_begin;
         let result = WalkResult {
             paths,
             active_per_iteration: active_series,
             metrics,
             comm,
             elapsed,
-            #[cfg(feature = "obs")]
             profile,
         };
         (result, observation.unwrap_or_else(|| observer.make_acc()))
@@ -1305,7 +1297,6 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
         } else {
             Vec::new()
         };
-        #[cfg(feature = "obs")]
         let profile = {
             // Only the leader's own node profile is collected; shipping
             // every rank's profile through the gather would require a wire
@@ -1321,15 +1312,12 @@ impl<'g, P: WalkerProgram> RandomWalkEngine<'g, P> {
                 wall_nanos: begin.elapsed().as_nanos() as u64,
             })
         };
-        #[cfg(not(feature = "obs"))]
-        let _ = finalize_begin;
         Some(WalkResult {
             paths,
             active_per_iteration: out.active_series,
             metrics,
             comm,
             elapsed,
-            #[cfg(feature = "obs")]
             profile,
         })
     }

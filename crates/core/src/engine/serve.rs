@@ -260,72 +260,37 @@ impl Wire for SpanEvent {
     }
 }
 
-/// One node's per-superstep gauge/counter sample, shipped in every
-/// [`ServeDelta`] so the leader always has a live, cluster-wide view.
-///
-/// All fields except `active` are **cumulative** since the node started
-/// (Prometheus-counter style): the leader keeps only the latest sample
-/// per node and sums across nodes, so a lost superstep never loses
-/// counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LiveSample {
-    /// Active walker slots on this node right now (gauge).
-    pub active: u64,
-    /// Total walker steps taken.
-    pub steps: u64,
-    /// Total rejection-sampling trials.
-    pub trials: u64,
-    /// Total remote exchange bytes sent.
-    pub exchange_bytes: u64,
-    /// Total sampler versions rebuilt or patched for graph updates.
-    pub sampler_rebuilds: u64,
-    /// Total sampler maintenance cost in entry-edits (degree per rebuild,
-    /// edges touched per radix point-patch) — the live counter behind
-    /// `kk_sampler_rebuild_cost_total`.
-    pub sampler_rebuild_cost: u64,
-    /// Cumulative nanoseconds per engine phase (the `knightking-obs`
-    /// phase taxonomy, index order; all zeros when the engine was built
-    /// without the `obs` feature). The slot count is part of the wire
-    /// format, so all ranks of a cluster must run the same build.
-    pub phase_ns: [u64; N_PHASES],
-}
-
-impl Wire for LiveSample {
-    fn wire_size(&self) -> usize {
-        8 * (6 + self.phase_ns.len())
+knightking_net::metric_set! {
+    /// One node's per-superstep gauge/counter sample, shipped in every
+    /// [`ServeDelta`] so the leader always has a live, cluster-wide view.
+    ///
+    /// All fields except `active` are **cumulative** since the node started
+    /// (Prometheus-counter style): the leader keeps only the latest sample
+    /// per node and sums across nodes, so a lost superstep never loses
+    /// counts. A field reaches the service's stats through its exported
+    /// name: the serve tier copies every metric here into the one it
+    /// declares under the same name.
+    #[derive(Copy)]
+    pub struct LiveSample {
+        /// Active walker slots on this node right now.
+        gauge sum active => "kk_active_walkers",
+        /// Total walker steps taken.
+        counter sum steps => "kk_walker_steps_total",
+        /// Total rejection-sampling trials.
+        counter sum trials => "kk_sampler_trials_total",
+        /// Total remote exchange bytes sent.
+        counter sum exchange_bytes => "kk_exchange_bytes_total",
+        /// Total sampler versions rebuilt or patched for graph updates.
+        counter sum sampler_rebuilds => "kk_sampler_rebuilds_total",
+        /// Total sampler maintenance cost in entry-edits (degree per rebuild,
+        /// edges touched per radix point-patch).
+        counter sum sampler_rebuild_cost => "kk_sampler_rebuild_cost_total",
     }
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        self.active.encode(out)?;
-        self.steps.encode(out)?;
-        self.trials.encode(out)?;
-        self.exchange_bytes.encode(out)?;
-        self.sampler_rebuilds.encode(out)?;
-        self.sampler_rebuild_cost.encode(out)?;
-        for ns in &self.phase_ns {
-            ns.encode(out)?;
-        }
-        Ok(())
-    }
-    fn decode(input: &mut &[u8]) -> std::io::Result<Self> {
-        let active = u64::decode(input)?;
-        let steps = u64::decode(input)?;
-        let trials = u64::decode(input)?;
-        let exchange_bytes = u64::decode(input)?;
-        let sampler_rebuilds = u64::decode(input)?;
-        let sampler_rebuild_cost = u64::decode(input)?;
-        let mut phase_ns = [0u64; N_PHASES];
-        for ns in &mut phase_ns {
-            *ns = u64::decode(input)?;
-        }
-        Ok(LiveSample {
-            active,
-            steps,
-            trials,
-            exchange_bytes,
-            sampler_rebuilds,
-            sampler_rebuild_cost,
-            phase_ns,
-        })
+    also {
+        /// Cumulative nanoseconds per engine phase (the `knightking-obs`
+        /// phase taxonomy, index order). The slot count is part of the
+        /// wire format, so all ranks of a cluster must run the same build.
+        pub phase_ns: [u64; N_PHASES],
     }
 }
 

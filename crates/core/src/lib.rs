@@ -80,7 +80,5 @@ pub use knightking_net::{Transport, Wire, WireError};
 pub use knightking_sampling::{rejection::OutlierSlot, DeterministicRng};
 
 /// The observability primitives backing `WalkResult::profile` (phase
-/// timers, event rings, histograms, report sinks). Present only with the
-/// `obs` feature (default on).
-#[cfg(feature = "obs")]
+/// timers, event rings, histograms, report sinks).
 pub use knightking_obs as obs;

@@ -6,56 +6,46 @@
 //! locally inside scheduler chunk accumulators (no atomics on the hot
 //! path) and summed across nodes at the end of a run.
 
-/// Aggregated counters for one walk execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalkMetrics {
-    /// Walker moves actually taken (the denominator of edges/step).
-    pub steps: u64,
-    /// Dynamic component (`Pd`) evaluations (the numerator of edges/step).
-    pub edges_evaluated: u64,
-    /// Rejection trials (darts thrown).
-    pub trials: u64,
-    /// Darts pre-accepted at or below the lower bound `L(v)` — each saved
-    /// a `Pd` evaluation (and, for second-order walks, a query round
-    /// trip).
-    pub pre_accepts: u64,
-    /// Darts landing in outlier appendix areas.
-    pub appendix_hits: u64,
-    /// Exact full-scan fallbacks after exhausting rejection trials.
-    pub fallback_scans: u64,
-    /// Walker-to-vertex state queries sent.
-    pub queries: u64,
-    /// Walks completed.
-    pub finished_walkers: u64,
-    /// BSP iterations executed.
-    pub iterations: u64,
-    /// Per-vertex sampling structures (alias table / radix table / trial
-    /// bound) rebuilt in response to dynamic graph updates. Zero on
-    /// static runs.
-    pub sampler_rebuilds: u64,
-    /// Sampler maintenance cost in entry-edits: the vertex degree for
-    /// every O(degree) rebuild, the number of edges actually touched for
-    /// every O(log degree) radix point-patch. The counter that makes the
-    /// alias-vs-radix maintenance asymptotics observable.
-    pub sampler_rebuild_cost: u64,
+knightking_net::metric_set! {
+    /// Aggregated counters for one walk execution. Declared once: the
+    /// struct, `merge` and the [`Wire`](knightking_net::Wire) codec that
+    /// carries it to the leader in the end-of-run result gather of
+    /// multi-process runs all come from this list.
+    #[derive(Copy)]
+    pub struct WalkMetrics {
+        /// Walker moves actually taken (the denominator of edges/step).
+        counter sum steps,
+        /// Dynamic component (`Pd`) evaluations (the numerator of edges/step).
+        counter sum edges_evaluated,
+        /// Rejection trials (darts thrown).
+        counter sum trials,
+        /// Darts pre-accepted at or below the lower bound `L(v)` — each saved
+        /// a `Pd` evaluation (and, for second-order walks, a query round
+        /// trip).
+        counter sum pre_accepts,
+        /// Darts landing in outlier appendix areas.
+        counter sum appendix_hits,
+        /// Exact full-scan fallbacks after exhausting rejection trials.
+        counter sum fallback_scans,
+        /// Walker-to-vertex state queries sent.
+        counter sum queries,
+        /// Walks completed.
+        counter sum finished_walkers,
+        /// BSP iterations executed (every node executes them all).
+        counter max iterations,
+        /// Per-vertex sampling structures (alias table / radix table / trial
+        /// bound) rebuilt in response to dynamic graph updates. Zero on
+        /// static runs.
+        counter sum sampler_rebuilds,
+        /// Sampler maintenance cost in entry-edits: the vertex degree for
+        /// every O(degree) rebuild, the number of edges actually touched for
+        /// every O(log degree) radix point-patch. The counter that makes the
+        /// alias-vs-radix maintenance asymptotics observable.
+        counter sum sampler_rebuild_cost,
+    }
 }
 
 impl WalkMetrics {
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &WalkMetrics) {
-        self.steps += other.steps;
-        self.edges_evaluated += other.edges_evaluated;
-        self.trials += other.trials;
-        self.pre_accepts += other.pre_accepts;
-        self.appendix_hits += other.appendix_hits;
-        self.fallback_scans += other.fallback_scans;
-        self.queries += other.queries;
-        self.finished_walkers += other.finished_walkers;
-        self.iterations = self.iterations.max(other.iterations);
-        self.sampler_rebuilds += other.sampler_rebuilds;
-        self.sampler_rebuild_cost += other.sampler_rebuild_cost;
-    }
-
     /// Average `Pd` computations per walker move — the paper's
     /// "edges/step" (Table 1, Table 5, Figure 6).
     pub fn edges_per_step(&self) -> f64 {
@@ -76,74 +66,48 @@ impl WalkMetrics {
     }
 }
 
-use knightking_net::{Wire, WireError};
-
-/// Metrics travel to the leader in the end-of-run result gather of
-/// multi-process runs.
-impl Wire for WalkMetrics {
-    fn wire_size(&self) -> usize {
-        11 * 8
-    }
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        for v in [
-            self.steps,
-            self.edges_evaluated,
-            self.trials,
-            self.pre_accepts,
-            self.appendix_hits,
-            self.fallback_scans,
-            self.queries,
-            self.finished_walkers,
-            self.iterations,
-            self.sampler_rebuilds,
-            self.sampler_rebuild_cost,
-        ] {
-            v.encode(out)?;
-        }
-        Ok(())
-    }
-    fn decode(input: &mut &[u8]) -> std::io::Result<Self> {
-        Ok(WalkMetrics {
-            steps: u64::decode(input)?,
-            edges_evaluated: u64::decode(input)?,
-            trials: u64::decode(input)?,
-            pre_accepts: u64::decode(input)?,
-            appendix_hits: u64::decode(input)?,
-            fallback_scans: u64::decode(input)?,
-            queries: u64::decode(input)?,
-            finished_walkers: u64::decode(input)?,
-            iterations: u64::decode(input)?,
-            sampler_rebuilds: u64::decode(input)?,
-            sampler_rebuild_cost: u64::decode(input)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// For every set this crate declares: the codec writes exactly
+    /// `wire_size()` bytes, and `merge` combines each field by the rule
+    /// its declaration line states — checked through the declaration, so
+    /// a new field is covered the day it is added.
     #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = WalkMetrics {
-            steps: 10,
-            edges_evaluated: 15,
-            trials: 12,
-            iterations: 5,
-            ..Default::default()
-        };
-        let b = WalkMetrics {
-            steps: 5,
-            edges_evaluated: 5,
-            trials: 8,
-            iterations: 7,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.steps, 15);
-        assert_eq!(a.edges_evaluated, 20);
-        assert_eq!(a.trials, 20);
-        assert_eq!(a.iterations, 7);
+    fn declared_sets_size_and_merge_as_declared() {
+        use knightking_net::{to_bytes, MergeRule, Wire};
+        macro_rules! check {
+            ($S:ty) => {{
+                let (mut a, mut b) = (<$S>::default(), <$S>::default());
+                for (i, m) in a.metrics().into_iter().enumerate() {
+                    assert!(a.set(m.export, 10 + i as u64));
+                    assert!(b.set(m.export, 40 - 3 * i as u64));
+                }
+                assert!(!a.set("no such metric", 1));
+                assert_eq!(to_bytes(&a).unwrap().len(), a.wire_size());
+                let before = a.metrics();
+                a.merge(&b);
+                for ((m, a0), b0) in a.metrics().into_iter().zip(before).zip(b.metrics()) {
+                    let want = match m.merge {
+                        MergeRule::Sum => a0.value + b0.value,
+                        MergeRule::Max => a0.value.max(b0.value),
+                    };
+                    assert_eq!(m.value, want, "{}::{}", stringify!($S), m.name);
+                }
+            }};
+        }
+        check!(WalkMetrics);
+        check!(crate::LiveSample);
+        let rules = WalkMetrics::default().metrics().map(|m| (m.name, m.merge));
+        for (name, rule) in rules {
+            let want = if name == "iterations" {
+                MergeRule::Max
+            } else {
+                MergeRule::Sum
+            };
+            assert_eq!(rule, want, "{name}");
+        }
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub struct WalkResult {
     /// histograms per node); `Some` only when `WalkConfig::profile` was
     /// set. Render it with `RunProfile::render_table` or
     /// `RunProfile::write_jsonl`.
-    #[cfg(feature = "obs")]
     pub profile: Option<knightking_obs::RunProfile>,
 }
 
@@ -190,7 +189,6 @@ mod tests {
             metrics: crate::metrics::WalkMetrics::default(),
             comm: Default::default(),
             elapsed: std::time::Duration::ZERO,
-            #[cfg(feature = "obs")]
             profile: None,
         };
         let mut buf = Vec::new();

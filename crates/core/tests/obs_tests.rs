@@ -1,8 +1,6 @@
 //! Observability-layer tests: profile aggregation across a real
 //! multi-node run, determinism with profiling on/off, and the JSON-lines
-//! report format. Compiled only with the `obs` feature (the default);
-//! `--no-default-features` builds skip the whole file.
-#![cfg(feature = "obs")]
+//! report format.
 
 use knightking_core::obs::Phase;
 use knightking_core::{

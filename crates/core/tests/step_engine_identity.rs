@@ -9,7 +9,6 @@
 //! graphs, three program shapes, one and two nodes, static CSR and
 //! dynamic graphs — the latter also served, with sampler overrides and
 //! walkers pinned at two epochs.
-#![cfg(feature = "obs")]
 
 use knightking_cluster::comm::run_cluster_with_metrics;
 use knightking_core::{

@@ -26,4 +26,4 @@ pub mod wire;
 
 pub use tcp::{reserve_loopback_addrs, TcpConfig, TcpTransport};
 pub use transport::Transport;
-pub use wire::{from_bytes, to_bytes, Wire, WireError};
+pub use wire::{from_bytes, to_bytes, MergeRule, Metric, MetricKind, Wire, WireError};

@@ -16,7 +16,10 @@
 //!
 //! No `serde`: the workspace is dependency-free by design, and the
 //! message set is small enough that explicit impls are clearer than a
-//! derive anyway.
+//! derive anyway. Types that are nothing but a sequence of fields get
+//! their impl from [`wire_struct!`](crate::wire_struct); counter sets
+//! are declared through [`metric_set!`](crate::metric_set), which adds
+//! what the metric sinks need.
 
 use std::io;
 
@@ -256,6 +259,184 @@ macro_rules! wire_tuple {
 wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
+
+/// Declares a struct whose [`Wire`] encoding is its fields in
+/// declaration order, each by its own `Wire` impl — the named-field
+/// sibling of the tuple impls above. `wire_size` is the sum of the
+/// fields' sizes, so no width is ever written by hand. Not for types
+/// that validate what they decode (enum tags, length-checked strings):
+/// those keep explicit impls.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$attr:meta])*
+        pub struct $S:ident {
+            $( $(#[$fattr:meta])* pub $f:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        pub struct $S {
+            $( $(#[$fattr])* pub $f: $ty, )*
+        }
+
+        impl $crate::Wire for $S {
+            #[inline]
+            fn wire_size(&self) -> usize {
+                0 $(+ $crate::Wire::wire_size(&self.$f))*
+            }
+            fn encode(&self, out: &mut Vec<u8>) -> Result<(), $crate::WireError> {
+                $( $crate::Wire::encode(&self.$f, out)?; )*
+                Ok(())
+            }
+            fn decode(input: &mut &[u8]) -> std::io::Result<Self> {
+                Ok($S { $( $f: $crate::Wire::decode(input)?, )* })
+            }
+        }
+    };
+}
+
+/// Whether a metric only ever grows or is an instantaneous reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotone since the process started.
+    Counter,
+    /// A reading that can go down.
+    Gauge,
+}
+
+impl MetricKind {
+    /// The word Prometheus uses on a `# TYPE` line.
+    pub fn name(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// How the readings two nodes hold of one metric combine into one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeRule {
+    /// Each node counts its own share.
+    Sum,
+    /// Every node observes the same quantity; the largest stands.
+    Max,
+}
+
+/// One field of a [`metric_set!`](crate::metric_set) declaration with
+/// its current value: what every sink (Prometheus text, JSONL, generic
+/// tests) iterates instead of keeping a list of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric {
+    /// The field's name in the struct, and its key in JSONL records.
+    pub name: &'static str,
+    /// The name it is exported under (the field name unless the
+    /// declaration gives one). Two sets that declare the same exported
+    /// name hold the same metric.
+    pub export: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// Cross-node merge rule.
+    pub merge: MergeRule,
+    /// The field's doc comment, on one line.
+    pub help: &'static str,
+    /// The field's current value.
+    pub value: u64,
+}
+
+/// Declares a set of `u64` metrics **once**: each line gives a field's
+/// doc comment, kind (`counter` | `gauge`), cross-node merge rule
+/// (`sum` | `max`), name, and — where it differs from the field name —
+/// the name it is exported under. From that one list the macro emits
+/// the struct (plain `pub u64` fields, `Default`), `merge`, the [`Wire`]
+/// codec in declaration order, `metrics()` (one [`Metric`] per field,
+/// for sinks to loop over) and `set()` by exported name. An optional
+/// `also { pub field: Type, .. }` block appends non-metric fields that
+/// ride the wire after the metrics and are left alone by `merge`.
+///
+/// ```
+/// knightking_net::metric_set! {
+///     /// What one node counted.
+///     #[derive(Copy)]
+///     pub struct Demo {
+///         /// Moves taken.
+///         counter sum steps => "kk_walker_steps_total",
+///         /// Supersteps seen (every node sees them all).
+///         counter max iterations,
+///     }
+/// }
+/// let mut a = Demo { steps: 2, iterations: 5 };
+/// a.merge(&Demo { steps: 3, iterations: 4 });
+/// assert_eq!((a.steps, a.iterations), (5, 5));
+/// assert_eq!(a.metrics()[0].export, "kk_walker_steps_total");
+/// assert_eq!(a.metrics()[1].help, "Supersteps seen (every node sees them all).");
+/// ```
+#[macro_export]
+macro_rules! metric_set {
+    (@kind counter) => { $crate::MetricKind::Counter };
+    (@kind gauge) => { $crate::MetricKind::Gauge };
+    (@rule sum) => { $crate::MergeRule::Sum };
+    (@rule max) => { $crate::MergeRule::Max };
+    (@merge sum $a:expr, $b:expr) => { $a += $b };
+    (@merge max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@export $f:ident) => { stringify!($f) };
+    (@export $f:ident $export:literal) => { $export };
+    (
+        $(#[$attr:meta])*
+        pub struct $S:ident {
+            $(
+                $(#[doc = $doc:literal])+
+                $kind:ident $rule:ident $f:ident $(=> $export:literal)?
+            ),* $(,)?
+        }
+        $( also { $( $(#[$aattr:meta])* pub $a:ident : $aty:ty ),* $(,)? } )?
+    ) => {
+        $crate::wire_struct! {
+            $(#[$attr])*
+            #[derive(Debug, Clone, PartialEq, Eq, Default)]
+            pub struct $S {
+                $( $(#[doc = $doc])+ pub $f: u64, )*
+                $( $( $(#[$aattr])* pub $a: $aty, )* )?
+            }
+        }
+
+        impl $S {
+            /// How many metrics the set declares.
+            pub const LEN: usize = [$(stringify!($f)),*].len();
+
+            /// Folds another node's readings into this one, each field
+            /// by its declared rule.
+            pub fn merge(&mut self, other: &$S) {
+                $( $crate::metric_set!(@merge $rule self.$f, other.$f); )*
+            }
+
+            /// Every declared metric with its current value, in
+            /// declaration (= wire) order.
+            pub fn metrics(&self) -> [$crate::Metric; Self::LEN] {
+                [$( $crate::Metric {
+                    name: stringify!($f),
+                    export: $crate::metric_set!(@export $f $($export)?),
+                    kind: $crate::metric_set!(@kind $kind),
+                    merge: $crate::metric_set!(@rule $rule),
+                    help: concat!($($doc),+).trim(),
+                    value: self.$f,
+                }, )*]
+            }
+
+            /// Sets the metric exported as `export`; `false` when the
+            /// set declares none by that name.
+            pub fn set(&mut self, export: &str, value: u64) -> bool {
+                $(
+                    if export == $crate::metric_set!(@export $f $($export)?) {
+                        self.$f = value;
+                        return true;
+                    }
+                )*
+                false
+            }
+        }
+    };
+}
 
 /// Encodes a value into a fresh buffer (sized exactly).
 ///

@@ -5,7 +5,7 @@
 //! The paper's evaluation (§7) reasons entirely about *where time goes* —
 //! sampling vs. communication vs. synchronization, light-mode tail
 //! behaviour (§6.2/§7.5), per-node load imbalance. This crate provides the
-//! instrumentation those arguments need, with three hard constraints the
+//! instrumentation those arguments need, with two hard constraints the
 //! engine imposes:
 //!
 //! * **zero external dependencies** — everything here is `std` only,
@@ -13,9 +13,8 @@
 //! * **no atomics, no locks, no floats on the hot path** — recording a
 //!   value is an integer bucket increment into thread-owned state; data is
 //!   merged in deterministic chunk order at exchange barriers, mirroring
-//!   the scheduler's determinism contract;
-//! * **compile-out-able** — the engine wires these types behind its `obs`
-//!   cargo feature; this crate itself carries no conditional code.
+//!   the scheduler's determinism contract. Whether a run records at all
+//!   is the runtime `WalkConfig::profile`; there is no build-time switch.
 //!
 //! Four building blocks:
 //!

@@ -88,5 +88,5 @@ pub use protocol::{
     SERVE_VERSION,
 };
 pub use service::{Responder, ServiceConfig, ServiceHandle, WalkService};
-pub use stats::{SeriesPoint, ServeStats, StatsReport, TenantStat};
+pub use stats::{SeriesPoint, ServeCounters, ServeStats, StatsReport, TenantStat};
 pub use trace::TraceLog;

@@ -553,9 +553,12 @@ mod tests {
             paths: Vec::new(),
         });
         let mut report = StatsReport {
-            admitted: 4,
-            completed: 3,
-            supersteps: 99,
+            counters: crate::stats::ServeCounters {
+                admitted: 4,
+                completed: 3,
+                supersteps: 99,
+                ..Default::default()
+            },
             latency_p99_us: 1234,
             phase_ns: [9, 8, 7, 6, 5, 4, 3, 2, 1],
             ..StatsReport::default()

@@ -3,103 +3,113 @@
 //! bounded time-series ring, and Prometheus-style text exposition),
 //! sharing `knightking-obs`'s histogram type and report schemas so
 //! existing profile consumers can ingest them unchanged.
+//!
+//! Every scalar is declared **once**, in a `metric_set!` table; codecs,
+//! JSONL keys, Prometheus names and `# HELP` lines are loops over it, so
+//! a new metric is one declaration line plus its increment site. Only
+//! the two human layouts (table, dashboard) pick fields by name.
 
 use std::io::{self, Write};
+use std::ops::{Deref, DerefMut};
 
 use knightking_core::LiveSample;
-use knightking_net::{Wire, WireError};
+use knightking_net::{metric_set, wire_struct, Metric, MetricKind, Wire, WireError};
 use knightking_obs::{write_hist_jsonl, BoundedRing, Phase, Pow2Histogram, N_PHASES};
 
 /// Time-series ring capacity: one sample per superstep, so this covers
 /// the most recent ~1024 supersteps of a resident service.
 pub const SERIES_CAP: usize = 1024;
 
-/// One per-superstep snapshot in the stats time series. `admitted` and
-/// `completed` are cumulative (diff successive points for rates);
-/// `active_walkers` and `queue_depth` are instantaneous gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SeriesPoint {
-    /// Superstep the sample was taken at.
-    pub superstep: u64,
-    /// Cluster-wide active walker slots.
-    pub active_walkers: u64,
-    /// Admission-queue depth.
-    pub queue_depth: u64,
-    /// Requests admitted since service start (cumulative).
-    pub admitted: u64,
-    /// Requests completed since service start (cumulative).
-    pub completed: u64,
+metric_set! {
+    /// One per-superstep snapshot in the stats time series, taken by the
+    /// leader (nothing merges across nodes, hence `max` throughout).
+    /// `admitted` and `completed` are cumulative (diff successive points
+    /// for rates); `active_walkers` and `queue_depth` are instantaneous.
+    #[derive(Copy)]
+    pub struct SeriesPoint {
+        /// Superstep the sample was taken at.
+        counter max superstep,
+        /// Cluster-wide active walker slots.
+        gauge max active_walkers,
+        /// Admission-queue depth.
+        gauge max queue_depth,
+        /// Requests admitted since service start (cumulative).
+        counter max admitted,
+        /// Requests completed since service start (cumulative).
+        counter max completed,
+    }
 }
 
-impl Wire for SeriesPoint {
-    fn wire_size(&self) -> usize {
-        5 * 8
+metric_set! {
+    /// The scalar counters and gauges of a service, carried by both
+    /// [`ServeStats`] (where the leader updates them) and [`StatsReport`]
+    /// (what a client receives). Declaration order is the KKSV wire
+    /// order and the JSONL key order; the name after `=>` is the
+    /// Prometheus name.
+    ///
+    /// Counters move on the leader's control path (once per superstep or
+    /// per request), never inside the walk itself, so serving stays as
+    /// fast as batch execution. The six a node owns arrive in its
+    /// [`LiveSample`], matched by exported name.
+    #[derive(Copy)]
+    pub struct ServeCounters {
+        /// Requests admitted into the engine.
+        counter sum admitted => "kk_requests_admitted_total",
+        /// Requests completed with an Ok status.
+        counter sum completed => "kk_requests_completed_total",
+        /// Requests rejected at submission (queue full or tenant quota).
+        counter sum rejected => "kk_requests_rejected_total",
+        /// The subset of rejected requests shed by a per-tenant quota while
+        /// the global queue still had room.
+        counter sum shed => "kk_requests_shed_total",
+        /// Requests force-terminated by deadline expiry.
+        counter sum deadline_exceeded => "kk_requests_deadline_exceeded_total",
+        /// Graph update batches validated and scheduled for application.
+        counter sum updates => "kk_updates_total",
+        /// Supersteps the driver polled with work in flight or queued.
+        counter max supersteps => "kk_supersteps_total",
+        /// Cluster-wide active walker slots, refreshed per superstep.
+        gauge sum active_walkers => "kk_active_walkers",
+        /// Admission-queue depth, refreshed per superstep.
+        gauge max queue_len => "kk_queue_depth",
+        /// Current graph epoch (0 on static graphs).
+        gauge max epoch => "kk_epoch",
+        /// How many epochs behind the current epoch the oldest pinned
+        /// walker is (0 when nothing is pinned behind).
+        gauge max pinned_lag => "kk_pinned_epoch_lag",
+        /// Walker steps taken across the cluster.
+        counter sum steps => "kk_walker_steps_total",
+        /// Rejection-sampling trials across the cluster.
+        counter sum trials => "kk_sampler_trials_total",
+        /// Remote exchange bytes sent across the cluster.
+        counter sum exchange_bytes => "kk_exchange_bytes_total",
+        /// Sampler versions rebuilt or patched for graph updates.
+        counter sum sampler_rebuilds => "kk_sampler_rebuilds_total",
+        /// Sampler maintenance cost in entry-edits: degree per O(degree)
+        /// rebuild, edges touched per O(log degree) radix point-patch.
+        counter sum sampler_rebuild_cost => "kk_sampler_rebuild_cost_total",
     }
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        self.superstep.encode(out)?;
-        self.active_walkers.encode(out)?;
-        self.queue_depth.encode(out)?;
-        self.admitted.encode(out)?;
-        self.completed.encode(out)
+}
+
+/// Writes `{"type":"<kind>","<field>":<value>,..}`, one key per metric.
+fn write_metrics_jsonl<W: Write>(w: &mut W, kind: &str, metrics: &[Metric]) -> io::Result<()> {
+    write!(w, "{{\"type\":\"{kind}\"")?;
+    for m in metrics {
+        write!(w, ",\"{}\":{}", m.name, m.value)?;
     }
-    fn decode(input: &mut &[u8]) -> io::Result<Self> {
-        Ok(SeriesPoint {
-            superstep: u64::decode(input)?,
-            active_walkers: u64::decode(input)?,
-            queue_depth: u64::decode(input)?,
-            admitted: u64::decode(input)?,
-            completed: u64::decode(input)?,
-        })
-    }
+    writeln!(w, "}}")
 }
 
 /// Counters and histograms accumulated over a service's lifetime, plus
 /// the live gauges the leader refreshes every superstep from the nodes'
 /// [`LiveSample`]s.
-///
-/// Counters move on the leader's control path (once per superstep or per
-/// request), never inside the walk itself, so serving stays as fast as
-/// batch execution.
 #[derive(Debug, Clone)]
 pub struct ServeStats {
-    /// Requests admitted into the engine.
-    pub admitted: u64,
-    /// Requests completed with `Status::Ok`.
-    pub completed: u64,
-    /// Requests rejected at submission (queue full or tenant quota).
-    pub rejected: u64,
-    /// The subset of `rejected` shed by a per-tenant quota while the
-    /// global queue still had room.
-    pub shed: u64,
-    /// Requests force-terminated by deadline expiry.
-    pub deadline_exceeded: u64,
-    /// Graph update batches validated and scheduled for application.
-    pub updates: u64,
-    /// Supersteps the driver has polled.
-    pub supersteps: u64,
-    /// Cluster-wide active walker slots (gauge, refreshed per superstep).
-    pub active_walkers: u64,
-    /// Admission-queue depth (gauge, refreshed per superstep).
-    pub queue_len: u64,
-    /// Current graph epoch (gauge; 0 on static graphs).
-    pub epoch: u64,
-    /// How many epochs behind the current epoch the oldest pinned walker
-    /// is (gauge; 0 when nothing is pinned behind).
-    pub pinned_lag: u64,
-    /// Total walker steps across the cluster (counter).
-    pub steps: u64,
-    /// Total rejection-sampling trials across the cluster (counter).
-    pub trials: u64,
-    /// Total remote exchange bytes sent across the cluster (counter).
-    pub exchange_bytes: u64,
-    /// Sampler versions rebuilt or patched for graph updates (counter).
-    pub sampler_rebuilds: u64,
-    /// Sampler maintenance cost in entry-edits — degree per O(degree)
-    /// rebuild, edges touched per O(log degree) radix point-patch
-    /// (counter).
-    pub sampler_rebuild_cost: u64,
+    /// The scalar counters and gauges. `ServeStats` derefs to them, so
+    /// `stats.admitted += 1` is the increment site.
+    pub counters: ServeCounters,
     /// Cumulative nanoseconds per engine phase across the cluster
-    /// (counters; all zeros when the engine was built without `obs`).
+    /// (all zeros unless the service profiles, i.e. exposes metrics).
     pub phase_ns: [u64; N_PHASES],
     /// End-to-end request latency (queue entry → response), microseconds.
     pub latency_us: Pow2Histogram,
@@ -116,22 +126,7 @@ pub struct ServeStats {
 impl Default for ServeStats {
     fn default() -> Self {
         ServeStats {
-            admitted: 0,
-            completed: 0,
-            rejected: 0,
-            shed: 0,
-            deadline_exceeded: 0,
-            updates: 0,
-            supersteps: 0,
-            active_walkers: 0,
-            queue_len: 0,
-            epoch: 0,
-            pinned_lag: 0,
-            steps: 0,
-            trials: 0,
-            exchange_bytes: 0,
-            sampler_rebuilds: 0,
-            sampler_rebuild_cost: 0,
+            counters: ServeCounters::default(),
             phase_ns: [0; N_PHASES],
             latency_us: Pow2Histogram::new(),
             queue_depth: Pow2Histogram::new(),
@@ -142,20 +137,34 @@ impl Default for ServeStats {
     }
 }
 
+impl Deref for ServeStats {
+    type Target = ServeCounters;
+    fn deref(&self) -> &ServeCounters {
+        &self.counters
+    }
+}
+
+impl DerefMut for ServeStats {
+    fn deref_mut(&mut self) -> &mut ServeCounters {
+        &mut self.counters
+    }
+}
+
 impl ServeStats {
     /// Folds the latest per-node [`LiveSample`]s into the live gauges and
-    /// counters. Samples are cumulative per node, so summing the latest
-    /// sample from each node gives exact cluster totals.
+    /// counters. Samples are cumulative per node, so merging the latest
+    /// sample from each node gives exact cluster totals; each merged
+    /// metric lands in the counter declared under the same exported name.
     pub fn apply_live(&mut self, nodes: &[LiveSample]) {
-        self.active_walkers = nodes.iter().map(|s| s.active).sum();
-        self.steps = nodes.iter().map(|s| s.steps).sum();
-        self.trials = nodes.iter().map(|s| s.trials).sum();
-        self.exchange_bytes = nodes.iter().map(|s| s.exchange_bytes).sum();
-        self.sampler_rebuilds = nodes.iter().map(|s| s.sampler_rebuilds).sum();
-        self.sampler_rebuild_cost = nodes.iter().map(|s| s.sampler_rebuild_cost).sum();
-        for i in 0..N_PHASES {
-            self.phase_ns[i] = nodes.iter().map(|s| s.phase_ns[i]).sum();
+        let mut total = LiveSample::default();
+        for s in nodes {
+            total.merge(s);
         }
+        for m in total.metrics() {
+            let declared = self.counters.set(m.export, m.value);
+            assert!(declared, "ServeCounters declares no {}", m.export);
+        }
+        self.phase_ns = std::array::from_fn(|i| nodes.iter().map(|s| s.phase_ns[i]).sum());
     }
 
     /// The histograms with their report names.
@@ -173,22 +182,7 @@ impl ServeStats {
     /// stats themselves don't own it).
     pub fn report(&self, spans: u64, spans_dropped: u64) -> StatsReport {
         StatsReport {
-            admitted: self.admitted,
-            completed: self.completed,
-            rejected: self.rejected,
-            shed: self.shed,
-            deadline_exceeded: self.deadline_exceeded,
-            updates: self.updates,
-            supersteps: self.supersteps,
-            active_walkers: self.active_walkers,
-            queue_len: self.queue_len,
-            epoch: self.epoch,
-            pinned_lag: self.pinned_lag,
-            steps: self.steps,
-            trials: self.trials,
-            exchange_bytes: self.exchange_bytes,
-            sampler_rebuilds: self.sampler_rebuilds,
-            sampler_rebuild_cost: self.sampler_rebuild_cost,
+            counters: self.counters,
             latency_p50_us: self.latency_us.quantile(0.5),
             latency_p99_us: self.latency_us.quantile(0.99),
             latency_max_us: self.latency_us.max(),
@@ -205,39 +199,17 @@ impl ServeStats {
     }
 
     /// Writes the machine-readable JSON-lines rendering: one `serve`
-    /// counter line, one `hist` line per histogram, one `phase_total`
-    /// line per engine phase (the `RunProfile` schema, so
-    /// `scripts/profile-summary` ingests serve output unchanged), and one
-    /// `series` line per retained time-series point.
+    /// line (a key per [`ServeCounters`] field), one `hist` line per
+    /// histogram, one `phase_total` line per engine phase (the
+    /// `RunProfile` schema, so `scripts/profile-summary` ingests serve
+    /// output unchanged), and one `series` line per retained time-series
+    /// point.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures from `w`.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(
-            w,
-            "{{\"type\":\"serve\",\"admitted\":{},\"completed\":{},\"rejected\":{},\
-             \"shed\":{},\"deadline_exceeded\":{},\"updates\":{},\"supersteps\":{},\
-             \"active_walkers\":{},\"queue_len\":{},\"epoch\":{},\"pinned_lag\":{},\
-             \"steps\":{},\"trials\":{},\"exchange_bytes\":{},\
-             \"sampler_rebuilds\":{},\"sampler_rebuild_cost\":{}}}",
-            self.admitted,
-            self.completed,
-            self.rejected,
-            self.shed,
-            self.deadline_exceeded,
-            self.updates,
-            self.supersteps,
-            self.active_walkers,
-            self.queue_len,
-            self.epoch,
-            self.pinned_lag,
-            self.steps,
-            self.trials,
-            self.exchange_bytes,
-            self.sampler_rebuilds,
-            self.sampler_rebuild_cost
-        )?;
+        write_metrics_jsonl(w, "serve", &self.counters.metrics())?;
         for (name, h) in self.histograms() {
             write_hist_jsonl(w, 0, name, h)?;
         }
@@ -251,12 +223,7 @@ impl ServeStats {
             )?;
         }
         for p in self.series.iter() {
-            writeln!(
-                w,
-                "{{\"type\":\"series\",\"superstep\":{},\"active_walkers\":{},\
-                 \"queue_depth\":{},\"admitted\":{},\"completed\":{}}}",
-                p.superstep, p.active_walkers, p.queue_depth, p.admitted, p.completed
-            )?;
+            write_metrics_jsonl(w, "series", &p.metrics())?;
         }
         Ok(())
     }
@@ -308,66 +275,53 @@ impl ServeStats {
     }
 }
 
-/// The flat stats snapshot a `Request::Stats` client receives: every
-/// counter and gauge plus latency quantiles (interpolated inside their
-/// power-of-two bucket) and the recent time series. All-integer so it stays `Eq` and cheap to encode.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsReport {
-    /// Requests admitted into the engine.
-    pub admitted: u64,
-    /// Requests completed with `Status::Ok`.
-    pub completed: u64,
-    /// Requests rejected at submission.
-    pub rejected: u64,
-    /// The subset of `rejected` shed by a per-tenant quota.
-    pub shed: u64,
-    /// Requests force-terminated by deadline expiry.
-    pub deadline_exceeded: u64,
-    /// Graph update batches scheduled.
-    pub updates: u64,
-    /// Supersteps polled.
-    pub supersteps: u64,
-    /// Cluster-wide active walker slots (gauge).
-    pub active_walkers: u64,
-    /// Admission-queue depth (gauge).
-    pub queue_len: u64,
-    /// Current graph epoch (gauge).
-    pub epoch: u64,
-    /// Epoch lag of the oldest pinned walker (gauge).
-    pub pinned_lag: u64,
-    /// Total walker steps (counter).
-    pub steps: u64,
-    /// Total sampler trials (counter).
-    pub trials: u64,
-    /// Total exchange bytes sent (counter).
-    pub exchange_bytes: u64,
-    /// Sampler versions rebuilt or patched for graph updates (counter).
-    pub sampler_rebuilds: u64,
-    /// Sampler maintenance cost in entry-edits (counter): degree per
-    /// rebuild, edges touched per radix point-patch.
-    pub sampler_rebuild_cost: u64,
-    /// Request latency p50 in microseconds, interpolated inside its
-    /// histogram bucket.
-    pub latency_p50_us: u64,
-    /// Request latency p99 in microseconds, interpolated inside its
-    /// histogram bucket.
-    pub latency_p99_us: u64,
-    /// Largest observed request latency, microseconds.
-    pub latency_max_us: u64,
-    /// Latency observations recorded.
-    pub latency_count: u64,
-    /// Sum of recorded latencies, microseconds.
-    pub latency_sum_us: u64,
-    /// Span events retained in the trace log.
-    pub spans: u64,
-    /// Span events dropped because the trace log was full.
-    pub spans_dropped: u64,
-    /// Cumulative nanoseconds per engine phase.
-    pub phase_ns: [u64; N_PHASES],
-    /// Recent per-superstep snapshots, oldest first.
-    pub series: Vec<SeriesPoint>,
-    /// Per-tenant queue/fairness counters, sorted by tenant name.
-    pub tenants: Vec<TenantStat>,
+wire_struct! {
+    /// The flat stats snapshot a `Request::Stats` client receives: every
+    /// counter and gauge plus latency quantiles (interpolated inside their
+    /// power-of-two bucket) and the recent time series. All-integer so it
+    /// stays `Eq` and cheap to encode; the fields below are the KKSV wire
+    /// layout, in order.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct StatsReport {
+        /// The service's counters and gauges. `StatsReport` derefs to
+        /// them, so `report.admitted`, `report.steps`, … read by name.
+        pub counters: ServeCounters,
+        /// Request latency p50 in microseconds, interpolated inside its
+        /// histogram bucket.
+        pub latency_p50_us: u64,
+        /// Request latency p99 in microseconds, interpolated inside its
+        /// histogram bucket.
+        pub latency_p99_us: u64,
+        /// Largest observed request latency, microseconds.
+        pub latency_max_us: u64,
+        /// Latency observations recorded.
+        pub latency_count: u64,
+        /// Sum of recorded latencies, microseconds.
+        pub latency_sum_us: u64,
+        /// Span events retained in the trace log.
+        pub spans: u64,
+        /// Span events dropped because the trace log was full.
+        pub spans_dropped: u64,
+        /// Cumulative nanoseconds per engine phase.
+        pub phase_ns: [u64; N_PHASES],
+        /// Recent per-superstep snapshots, oldest first.
+        pub series: Vec<SeriesPoint>,
+        /// Per-tenant queue/fairness counters, sorted by tenant name.
+        pub tenants: Vec<TenantStat>,
+    }
+}
+
+impl Deref for StatsReport {
+    type Target = ServeCounters;
+    fn deref(&self) -> &ServeCounters {
+        &self.counters
+    }
+}
+
+impl DerefMut for StatsReport {
+    fn deref_mut(&mut self) -> &mut ServeCounters {
+        &mut self.counters
+    }
 }
 
 /// One tenant's slice of the admission queue: its configured weight,
@@ -391,19 +345,29 @@ pub struct TenantStat {
     pub shed: u64,
 }
 
+impl TenantStat {
+    /// The five `u64`s that follow the weight on the wire, in order.
+    fn tail(&self) -> [u64; 5] {
+        [
+            self.queued,
+            self.admitted,
+            self.completed,
+            self.rejected,
+            self.shed,
+        ]
+    }
+}
+
+/// Hand-written because it validates: the name is length-checked UTF-8.
 impl Wire for TenantStat {
     fn wire_size(&self) -> usize {
-        4 + self.name.len() + 4 + 5 * 8
+        4 + self.name.len() + self.weight.wire_size() + self.tail().wire_size()
     }
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         (self.name.len() as u32).encode(out)?;
         out.extend_from_slice(self.name.as_bytes());
         self.weight.encode(out)?;
-        self.queued.encode(out)?;
-        self.admitted.encode(out)?;
-        self.completed.encode(out)?;
-        self.rejected.encode(out)?;
-        self.shed.encode(out)
+        self.tail().encode(out)
     }
     fn decode(input: &mut &[u8]) -> io::Result<Self> {
         let len = u32::decode(input)? as usize;
@@ -418,74 +382,37 @@ impl Wire for TenantStat {
             io::Error::new(io::ErrorKind::InvalidData, "wire: tenant name not UTF-8")
         })?;
         *input = tail;
+        let weight = u32::decode(input)?;
+        let [queued, admitted, completed, rejected, shed] = <[u64; 5]>::decode(input)?;
         Ok(TenantStat {
             name,
-            weight: u32::decode(input)?,
-            queued: u64::decode(input)?,
-            admitted: u64::decode(input)?,
-            completed: u64::decode(input)?,
-            rejected: u64::decode(input)?,
-            shed: u64::decode(input)?,
+            weight,
+            queued,
+            admitted,
+            completed,
+            rejected,
+            shed,
         })
     }
 }
 
 impl StatsReport {
-    /// The scalar fields in schema order, paired with their names —
-    /// single source of truth for the wire codec.
-    fn scalars(&self) -> [u64; 23] {
-        [
-            self.admitted,
-            self.completed,
-            self.rejected,
-            self.shed,
-            self.deadline_exceeded,
-            self.updates,
-            self.supersteps,
-            self.active_walkers,
-            self.queue_len,
-            self.epoch,
-            self.pinned_lag,
-            self.steps,
-            self.trials,
-            self.exchange_bytes,
-            self.sampler_rebuilds,
-            self.sampler_rebuild_cost,
-            self.latency_p50_us,
-            self.latency_p99_us,
-            self.latency_max_us,
-            self.latency_count,
-            self.latency_sum_us,
-            self.spans,
-            self.spans_dropped,
-        ]
-    }
-
     /// Renders the Prometheus text exposition format (0.0.4) served on
-    /// `kk serve --metrics-addr`.
+    /// `kk serve --metrics-addr`. The declared counters and gauges carry
+    /// their doc comment as `# HELP`; `tests/golden/metric_set.txt` pins
+    /// the whole exposed set.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let counters: [(&str, u64); 12] = [
-            ("kk_requests_admitted_total", self.admitted),
-            ("kk_requests_completed_total", self.completed),
-            ("kk_requests_rejected_total", self.rejected),
-            ("kk_requests_shed_total", self.shed),
-            (
-                "kk_requests_deadline_exceeded_total",
-                self.deadline_exceeded,
-            ),
-            ("kk_updates_total", self.updates),
-            ("kk_supersteps_total", self.supersteps),
-            ("kk_walker_steps_total", self.steps),
-            ("kk_sampler_trials_total", self.trials),
-            ("kk_exchange_bytes_total", self.exchange_bytes),
-            ("kk_sampler_rebuilds_total", self.sampler_rebuilds),
-            ("kk_sampler_rebuild_cost_total", self.sampler_rebuild_cost),
-        ];
-        for (name, v) in counters {
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
+        let declared = self.counters.metrics();
+        let of_kind = |out: &mut String, kind: MetricKind| {
+            for m in declared.iter().filter(|m| m.kind == kind) {
+                let (name, kind) = (m.export, kind.name());
+                let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {kind}", m.help);
+                let _ = writeln!(out, "{name} {}", m.value);
+            }
+        };
+        of_kind(&mut out, MetricKind::Counter);
         let _ = writeln!(out, "# TYPE kk_phase_ns_total counter");
         for phase in Phase::ALL {
             let _ = writeln!(
@@ -495,15 +422,7 @@ impl StatsReport {
                 self.phase_ns[phase.index()]
             );
         }
-        let gauges: [(&str, u64); 4] = [
-            ("kk_active_walkers", self.active_walkers),
-            ("kk_queue_depth", self.queue_len),
-            ("kk_epoch", self.epoch),
-            ("kk_pinned_epoch_lag", self.pinned_lag),
-        ];
-        for (name, v) in gauges {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
+        of_kind(&mut out, MetricKind::Gauge);
         let _ = writeln!(out, "# TYPE kk_request_latency_us summary");
         let _ = writeln!(
             out,
@@ -622,76 +541,22 @@ impl StatsReport {
     }
 }
 
-impl Wire for StatsReport {
-    fn wire_size(&self) -> usize {
-        8 * (23 + N_PHASES) + self.series.wire_size() + self.tenants.wire_size()
-    }
-    fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        for v in self.scalars() {
-            v.encode(out)?;
-        }
-        for ns in &self.phase_ns {
-            ns.encode(out)?;
-        }
-        self.series.encode(out)?;
-        self.tenants.encode(out)
-    }
-    fn decode(input: &mut &[u8]) -> io::Result<Self> {
-        let mut scalars = [0u64; 23];
-        for v in &mut scalars {
-            *v = u64::decode(input)?;
-        }
-        let mut phase_ns = [0u64; N_PHASES];
-        for ns in &mut phase_ns {
-            *ns = u64::decode(input)?;
-        }
-        let [admitted, completed, rejected, shed, deadline_exceeded, updates, supersteps, active_walkers, queue_len, epoch, pinned_lag, steps, trials, exchange_bytes, sampler_rebuilds, sampler_rebuild_cost, latency_p50_us, latency_p99_us, latency_max_us, latency_count, latency_sum_us, spans, spans_dropped] =
-            scalars;
-        Ok(StatsReport {
-            admitted,
-            completed,
-            rejected,
-            shed,
-            deadline_exceeded,
-            updates,
-            supersteps,
-            active_walkers,
-            queue_len,
-            epoch,
-            pinned_lag,
-            steps,
-            trials,
-            exchange_bytes,
-            sampler_rebuilds,
-            sampler_rebuild_cost,
-            latency_p50_us,
-            latency_p99_us,
-            latency_max_us,
-            latency_count,
-            latency_sum_us,
-            spans,
-            spans_dropped,
-            phase_ns,
-            series: Vec::decode(input)?,
-            tenants: Vec::decode(input)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use knightking_net::{from_bytes, to_bytes};
 
     fn sample() -> ServeStats {
         let mut s = ServeStats {
-            admitted: 10,
-            completed: 8,
-            rejected: 1,
-            deadline_exceeded: 1,
-            supersteps: 40,
-            sampler_rebuilds: 6,
-            sampler_rebuild_cost: 48,
+            counters: ServeCounters {
+                admitted: 10,
+                completed: 8,
+                rejected: 1,
+                deadline_exceeded: 1,
+                supersteps: 40,
+                sampler_rebuilds: 6,
+                sampler_rebuild_cost: 48,
+                ..ServeCounters::default()
+            },
             ..ServeStats::default()
         };
         for v in [100, 200, 5000] {
@@ -710,14 +575,6 @@ mod tests {
         s
     }
 
-    /// Stitched execution was removed; no sink may still expose one of
-    /// its counters under any name.
-    fn assert_no_stitch_names(text: &str) {
-        for gone in ["stitch", "spliced"] {
-            assert!(!text.contains(gone), "{gone:?} still exposed in:\n{text}");
-        }
-    }
-
     #[test]
     fn jsonl_lines_are_balanced_objects() {
         let mut buf = Vec::new();
@@ -732,7 +589,6 @@ mod tests {
         assert!(text.contains("\"type\":\"serve\""));
         assert!(text.contains("\"sampler_rebuilds\":6"));
         assert!(text.contains("\"sampler_rebuild_cost\":48"));
-        assert_no_stitch_names(&text);
         assert!(text.contains("\"name\":\"request_latency_us\""));
         assert!(text.contains("\"name\":\"queue_depth\""));
         assert!(text.contains("\"type\":\"series\""));
@@ -747,6 +603,9 @@ mod tests {
         assert!(t.contains("p99"));
     }
 
+    /// Every metric a node samples lands, summed over nodes, in the
+    /// counter `ServeCounters` declares under the same exported name —
+    /// checked through the declarations, not field by field.
     #[test]
     fn apply_live_sums_cumulative_node_samples() {
         let mut s = ServeStats::default();
@@ -768,18 +627,17 @@ mod tests {
             sampler_rebuild_cost: 8,
             phase_ns: [1, 0, 2, 3, 0, 0, 0, 4, 1],
         };
-        s.apply_live(&[a, b]);
-        assert_eq!(s.active_walkers, 5);
-        assert_eq!(s.steps, 150);
-        assert_eq!(s.trials, 50);
-        assert_eq!(s.exchange_bytes, 1200);
-        assert_eq!(s.sampler_rebuilds, 5);
-        assert_eq!(s.sampler_rebuild_cost, 72);
-        assert_eq!(s.phase_ns[0], 11);
-        assert_eq!(s.phase_ns[3], 33);
         // Re-applying newer samples replaces, not double-counts.
-        s.apply_live(&[a, b]);
-        assert_eq!(s.steps, 150);
+        for _ in 0..2 {
+            s.apply_live(&[a, b]);
+            let folded = s.counters.metrics();
+            for (ma, mb) in a.metrics().into_iter().zip(b.metrics()) {
+                let got = folded.iter().find(|m| m.export == ma.export).unwrap();
+                assert_eq!(got.value, ma.value + mb.value, "{}", ma.export);
+            }
+            assert_eq!(s.phase_ns, [11, 0, 22, 33, 0, 0, 0, 9, 2]);
+        }
+        assert_eq!(s.active_walkers, 5);
     }
 
     #[test]
@@ -826,16 +684,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_round_trips_on_the_wire() {
-        let r = sample().report(7, 2);
-        let bytes = to_bytes(&r).unwrap();
-        assert_eq!(bytes.len(), r.wire_size());
-        let back: StatsReport = from_bytes(&bytes).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn tenant_stats_round_trip_and_render() {
+    fn tenant_stats_render() {
         let mut r = sample().report(7, 2);
         r.shed = 3;
         r.tenants = vec![
@@ -858,10 +707,6 @@ mod tests {
                 shed: 3,
             },
         ];
-        let bytes = to_bytes(&r).unwrap();
-        assert_eq!(bytes.len(), r.wire_size());
-        let back: StatsReport = from_bytes(&bytes).unwrap();
-        assert_eq!(back, r);
         let text = r.render_prometheus();
         assert!(text.contains("kk_requests_shed_total 3"));
         assert!(text.contains("kk_tenant_queue_depth{tenant=\"default\"} 2"));
@@ -869,35 +714,19 @@ mod tests {
         assert!(text.contains("kk_tenant_shed_total{tenant=\"pro\"} 3"));
     }
 
+    /// What a fresh service exposes — its whole Prometheus text, then its
+    /// whole `--stats-output` JSONL — is the committed golden: the one
+    /// list CI compares a live scrape with and the docs link to. A metric
+    /// added to a declaration shows up here; paste the left side into the
+    /// file to accept it.
     #[test]
     fn prometheus_exposition_has_the_documented_metric_set() {
+        let mut exposed = StatsReport::default().render_prometheus().into_bytes();
+        ServeStats::default().write_jsonl(&mut exposed).unwrap();
+        let exposed = String::from_utf8(exposed).unwrap();
+        assert_eq!(exposed, include_str!("../tests/golden/metric_set.txt"));
+        // With values in: every non-comment line is `name[{labels}] value`.
         let text = sample().report(7, 2).render_prometheus();
-        for name in [
-            "kk_requests_admitted_total",
-            "kk_requests_completed_total",
-            "kk_requests_rejected_total",
-            "kk_requests_deadline_exceeded_total",
-            "kk_updates_total",
-            "kk_supersteps_total",
-            "kk_walker_steps_total",
-            "kk_sampler_trials_total",
-            "kk_exchange_bytes_total",
-            "kk_sampler_rebuilds_total",
-            "kk_sampler_rebuild_cost_total",
-            "kk_phase_ns_total{phase=\"exchange\"}",
-            "kk_active_walkers",
-            "kk_queue_depth",
-            "kk_epoch",
-            "kk_pinned_epoch_lag",
-            "kk_request_latency_us{quantile=\"0.5\"}",
-            "kk_request_latency_us{quantile=\"0.99\"}",
-            "kk_trace_spans_total",
-            "kk_trace_spans_dropped_total",
-        ] {
-            assert!(text.contains(name), "missing metric {name} in:\n{text}");
-        }
-        assert_no_stitch_names(&text);
-        // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (_, value) = line.rsplit_once(' ').expect("name value");
             assert!(value.parse::<u64>().is_ok(), "bad value in line: {line}");

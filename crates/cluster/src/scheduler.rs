@@ -74,10 +74,18 @@ impl Scheduler {
         self
     }
 
-    /// Whether a batch of `len` items runs in light mode.
+    /// Whether a batch of `len` items is small enough for the light-mode
+    /// switch (§6.2) — the condition profiles bill as light mode. A
+    /// one-thread scheduler runs every batch serially without it.
+    #[inline]
+    pub fn below_light_threshold(&self, len: usize) -> bool {
+        self.light_threshold > 0 && len < self.light_threshold
+    }
+
+    /// Whether a batch of `len` items runs on the calling thread alone.
     #[inline]
     pub fn is_light(&self, len: usize) -> bool {
-        self.threads == 1 || (self.light_threshold > 0 && len < self.light_threshold)
+        self.threads == 1 || self.below_light_threshold(len)
     }
 
     /// Number of chunk tasks a batch of `len` items queues.
@@ -225,6 +233,14 @@ mod tests {
         assert!(!sched.is_light(100));
         assert!(!sched.without_light_mode().is_light(5));
         assert!(Scheduler::serial().is_light(1_000_000));
+        // Serial by thread count, not by the switch.
+        assert!(!Scheduler::serial().below_light_threshold(1));
+        let one = Scheduler {
+            threads: 1,
+            ..Scheduler::new(1).with_light_threshold(100)
+        };
+        assert!(one.is_light(5000) && !one.below_light_threshold(5000));
+        assert!(one.below_light_threshold(99));
     }
 
     #[test]

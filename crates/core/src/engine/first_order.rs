@@ -8,6 +8,7 @@
 
 use knightking_cluster::Scheduler;
 use knightking_net::{Transport, Wire};
+use knightking_sampling::rejection::Envelope;
 
 use crate::{
     metrics::WalkMetrics,
@@ -30,15 +31,16 @@ fn step_one<P: WalkerProgram, O: WalkObserver<P::Data>>(
     slot: &mut Slot<P>,
     idx: u32,
     staged: Staged,
+    env: &mut Envelope,
     acc: &mut ChunkAcc<P, O>,
 ) {
     let trials_before = acc.metrics.trials;
-    match finish_step(rt, slot, idx, staged, acc) {
+    match finish_step(rt, slot, idx, staged, env, acc) {
         StepOutcome::Finished => finish_walk(slot, acc),
         StepOutcome::Moved(dst) => {
             rt.commit_move(slot, dst, acc);
         }
-        StepOutcome::Posted { .. } | StepOutcome::NeedFullScan => {
+        StepOutcome::Posted | StepOutcome::NeedFullScan => {
             unreachable!("first-order walks resolve every step locally")
         }
     }
@@ -67,14 +69,14 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
             slots,
             || ChunkAcc::new(n, rt.observer, obs_ctx),
             |base, slice, acc| {
-                run_chunk(rt, slice, base, acc, |slot, idx, staged, acc| {
-                    step_one(rt, slot, idx, staged, acc)
+                run_chunk(rt, slice, base, acc, |slot, idx, staged, env, acc| {
+                    step_one(rt, slot, idx, staged, env, acc)
                 })
             },
         )
     });
     let finished_before = finished.len();
-    let outbox = merge_accs(
+    let (outbox, _) = merge_accs(
         rt.observer,
         accs,
         n,

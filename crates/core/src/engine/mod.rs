@@ -38,7 +38,7 @@ use knightking_net::{Transport, Wire, WireError};
 use knightking_sampling::{
     alias::{self, VoseScratch},
     rejection::{Envelope, OutlierSlot},
-    AliasTable, CdfTable, DeterministicRng, FlatAlias, RadixTable,
+    AliasTable, CdfTable, DeterministicRng, FlatAlias, RadixTable, Trial,
 };
 
 use knightking_dyn::UpdateBatch;
@@ -205,10 +205,10 @@ pub(crate) enum SlotState<P: WalkerProgram> {
         /// which guarantees liveness even when all queried `Pd` are zero.
         stuck: u32,
     },
-    /// One dart thrown; awaiting the state query answer for its candidate.
+    /// One dart thrown; awaiting another rank's answer to the state
+    /// query for its candidate. The dart itself waits in the iteration's
+    /// [`Asked`] list, so a slot stays small.
     Awaiting {
-        edge: u32,
-        y: f64,
         answer: Option<P::Answer>,
         /// Rejection count carried across the query round (see
         /// [`SlotState::Active`]).
@@ -245,6 +245,35 @@ pub(crate) struct FullScanState<A> {
     pub(crate) next_unqueried: usize,
 }
 
+impl<A> FullScanState<A> {
+    /// Records the now-known `Ps·Pd` of edge `tag`.
+    #[inline]
+    pub(crate) fn fill(&mut self, tag: u32, product: f64) {
+        debug_assert!(self.products[tag as usize].is_nan(), "duplicate answer");
+        self.products[tag as usize] = product;
+        self.unfilled -= 1;
+    }
+}
+
+/// A walker that put a question to another rank in phase A, with what
+/// phase B needs besides the answer.
+pub(crate) enum Asked {
+    /// A dart at height `y` on candidate `edge`, kept whole so deciding
+    /// on the answer reads no graph memory.
+    Dart { slot: u32, edge: EdgeView, y: f64 },
+    /// A full scan with queries outstanding.
+    Scan { slot: u32 },
+}
+
+impl Asked {
+    /// Index of the asking walker's slot.
+    pub(crate) fn slot(&self) -> u32 {
+        match *self {
+            Asked::Dart { slot, .. } | Asked::Scan { slot } => slot,
+        }
+    }
+}
+
 /// Per-chunk accumulator used by both execution paths.
 pub(crate) struct ChunkAcc<P: WalkerProgram, O: WalkObserver<P::Data>> {
     pub(crate) outbox: Vec<Vec<Msg<P>>>,
@@ -258,8 +287,9 @@ pub(crate) struct ChunkAcc<P: WalkerProgram, O: WalkObserver<P::Data>> {
     pub(crate) obs_acc: O::Acc,
     /// Chunk-local instrumentation (thread-owned, merged in chunk order).
     pub(crate) obs: ChunkObs,
-    /// Scratch envelope reused across steps to avoid per-step allocation.
-    pub(crate) env: Envelope,
+    /// The walkers that posted a query to another rank this phase, in
+    /// slot order: the only slots the answers concern.
+    pub(crate) asked: Vec<Asked>,
     /// Scratch buffer for full-scan CDF sampling.
     pub(crate) cdf_scratch: Vec<f64>,
 }
@@ -273,16 +303,17 @@ impl<P: WalkerProgram, O: WalkObserver<P::Data>> ChunkAcc<P, O> {
             metrics: WalkMetrics::default(),
             obs_acc: obs.make_acc(),
             obs: ChunkObs::new(obs_ctx),
-            env: Envelope::simple(1.0, 1.0),
+            asked: Vec::new(),
             cdf_scratch: Vec::new(),
         }
     }
 }
 
-/// How far `begin_step` runs ahead of `finish_step` within a chunk: far
-/// enough for a DRAM miss to land while the walkers in between finish,
-/// small enough that the hinted lines are still in L1 when read (8 and 16
-/// measured equal). Public for the identity tests' chunk-size sweep.
+/// How far each stage of the step kernel runs ahead of the next within a
+/// chunk: far enough for a DRAM miss to land while the walkers in between
+/// finish, small enough that the hinted lines are still in L1 when read
+/// (8 and 16 measured equal). Public for the identity tests' chunk-size
+/// sweep.
 #[doc(hidden)]
 pub const LOOKAHEAD: usize = 8;
 
@@ -292,54 +323,77 @@ pub(crate) enum Staged {
     /// Nothing was staged: `finish_step` runs the whole step.
     Eager,
     /// The step was decided without sampling (termination, teleport,
-    /// dead end, zero static mass).
+    /// dead end, zero static mass, a board without area).
     Done(StepOutcome),
     /// An alias bucket and its coin are drawn and the bucket's cells
     /// hinted; `lo` is the row's first cell.
     Alias { lo: usize, bucket: usize, coin: f64 },
     /// A uniform edge is drawn and its target cell, at `pos`, hinted.
     Uniform { pos: usize },
+    /// (Dynamic programs.) The first dart of a rejection round is thrown
+    /// at the envelope `begin_step` filled — `trial` says where it landed
+    /// — and for a dart in the main rectangle the candidate is drawn as
+    /// well: an alias `bucket` and `coin`, or a uniform edge index in
+    /// `bucket`, its cells hinted. `lo` is the row's first cell.
+    Dart {
+        lo: usize,
+        trial: Trial,
+        bucket: usize,
+        coin: f64,
+    },
 }
 
-/// Drives one chunk of walkers through the staged step kernel: `begin`
-/// on walker `i + lookahead`, then `finish` on walker `i`.
+/// Drives one chunk of walkers through the staged step kernel, one stage
+/// per [`NodeRt::lookahead`] walkers: hint the row bounds, `begin`,
+/// (second-order programs) hint the state probe, `finish`.
 ///
-/// A static first-order step is a chain of dependent loads — row bounds →
-/// the RNG-chosen `prob`/`alias` cell → the `targets` cell — and too much
-/// happens between two walkers' chains for the out-of-order window to
-/// overlap them. The kernel makes the overlap explicit: `begin_step`
-/// draws and hints the chosen cells, `finish_step` reads them a lookahead
-/// later, and the row bounds of the walker two lookaheads ahead are
-/// hinted before either.
+/// A step is a chain of dependent loads — row bounds → the RNG-chosen
+/// `prob`/`alias` cell → the `targets` cell, and for a second-order walk
+/// the previous vertex's row bounds → the adjacency lines its membership
+/// probe reads — and too much happens between two walkers' chains for the
+/// out-of-order window to overlap them. The kernel makes the overlap
+/// explicit: each stage reads what the stage before it hinted and hints
+/// what the next one reads.
 ///
-/// Byte-identity with `lookahead == 0` (begin, then finish at once) holds
-/// by construction: `begin_step` touches only its own walker — whose RNG
-/// stream is private — and immutable graph and sampler data, while
-/// everything shared (`acc`) is written by `finish`, in slot order, in
-/// both schedules.
+/// Byte-identity with `lookahead == 0` (every stage of a walker before
+/// the next walker's first) holds by construction: `begin_step` touches
+/// only its own walker — whose RNG stream is private — its own scratch
+/// envelope, and immutable graph and sampler data; the probe hint writes
+/// nothing; everything shared (`acc`) is written by `finish`, in slot
+/// order, in both schedules.
 pub(crate) fn run_chunk<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slice: &mut [Slot<P>],
     base: usize,
     acc: &mut ChunkAcc<P, O>,
-    mut finish: impl FnMut(&mut Slot<P>, u32, Staged, &mut ChunkAcc<P, O>),
+    mut finish: impl FnMut(&mut Slot<P>, u32, Staged, &mut Envelope, &mut ChunkAcc<P, O>),
 ) {
-    // One more slot than the lookahead, so `begin(i + d)` never lands on
-    // the entry `finish(i)` is about to read.
-    const RING: usize = (LOOKAHEAD + 1).next_power_of_two();
+    // One more entry than walkers in flight, so `begin` never lands on
+    // the entry `finish` is about to read.
+    const RING: usize = (2 * LOOKAHEAD + 1).next_power_of_two();
     let mut ring = [Staged::Eager; RING];
+    // The kernel's scratch envelopes, one per walker in flight: filled by
+    // `begin` (or by an eager `finish`), read by the stages after it.
+    let mut envs: [Envelope; RING] = std::array::from_fn(|_| Envelope::simple(1.0, 1.0));
     let n = slice.len();
     let d = rt.lookahead;
-    for j in 0..d.min(n) {
-        rt.prefetch_row(slice.get(j + d));
-        ring[j] = begin_step(rt, &mut slice[j]);
-    }
-    for i in 0..n {
-        if i + d < n {
-            rt.prefetch_row(slice.get(i + 2 * d));
-            ring[(i + d) % RING] = begin_step(rt, &mut slice[i + d]);
+    // How far `begin` runs ahead of `finish`: the probe hint takes a stage
+    // in between.
+    let ahead = if P::SECOND_ORDER { 2 * d } else { d };
+    for t in 0..n + ahead {
+        rt.prefetch_row(slice.get(t + d));
+        if t < n {
+            ring[t % RING] = begin_step(rt, &mut slice[t], &mut envs[t % RING]);
         }
-        finish(&mut slice[i], (base + i) as u32, ring[i % RING], acc);
+        if P::SECOND_ORDER && (d..n + d).contains(&t) {
+            let i = t - d;
+            rt.prefetch_probe(&slice[i], ring[i % RING], &envs[i % RING]);
+        }
+        if t >= ahead {
+            let i = t - ahead;
+            let idx = (base + i) as u32;
+            finish(&mut slice[i], idx, ring[i % RING], &mut envs[i % RING], acc);
+        }
     }
 }
 
@@ -400,13 +454,15 @@ pub(crate) struct NodeRt<'a, P: WalkerProgram, O: WalkObserver<P::Data>> {
     /// Whether the radix backend is active (epoch-pinned config: chosen
     /// once at build, constant for the run).
     pub(crate) radix_on: bool,
-    /// The CSR whose rows `begin_step` stages: set for static programs
-    /// drawing alias or uniform candidates on a CSR graph, where no row
-    /// can be overridden. Everything else steps eagerly in `finish_step`.
+    /// The CSR whose rows `begin_step` stages: set when candidates are
+    /// alias or uniform draws on a CSR graph, where no row can be
+    /// overridden — static programs, and dynamic ones in decoupled mode.
+    /// Everything else (radix, mixed mode, dynamic graphs) steps eagerly
+    /// in `finish_step`.
     staged: Option<&'a CsrGraph>,
-    /// Distance `begin_step` runs ahead of `finish_step` ([`LOOKAHEAD`];
-    /// 0 on the identity tests' reference path).
-    lookahead: usize,
+    /// Distance between the stages of the step kernel ([`LOOKAHEAD`]; 0
+    /// on the identity tests' reference path).
+    pub(crate) lookahead: usize,
 }
 
 /// What one local sampling attempt decided.
@@ -416,8 +472,10 @@ pub(crate) enum StepOutcome {
     Finished,
     /// Edge accepted; move to this vertex.
     Moved(VertexId),
-    /// (Second-order only) a state query was posted for this candidate.
-    Posted { edge: u32, y: f64 },
+    /// (Second-order only) a state query for the candidate went to
+    /// another rank; the slot is [`SlotState::Awaiting`] its answer and
+    /// listed as [`Asked`].
+    Posted,
     /// (Second-order only) rejection trials exhausted; switch to full
     /// scan.
     NeedFullScan,
@@ -467,8 +525,11 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
                 }
             },
         );
+        // A dart staged for a round that has no trial to spend would draw
+        // from the walker's stream out of turn.
+        let dartable = cfg.decoupled_static && cfg.max_local_trials > 0;
         let staged = match graph {
-            GraphRef::Csr(csr) if !P::DYNAMIC && !radix_on => {
+            GraphRef::Csr(csr) if !radix_on && (!P::DYNAMIC || dartable) => {
                 // `begin_step` addresses alias cells by edge position.
                 assert!(!biased || alias.cells() == csr.edge_count());
                 Some(csr)
@@ -746,6 +807,12 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
         }
     }
 
+    /// Whether this node owns `v`.
+    #[inline]
+    pub(crate) fn owns(&self, v: VertexId) -> bool {
+        self.partition.range(self.me).contains(&v)
+    }
+
     /// Hints the row bounds and alias total of the vertex `slot`'s walker
     /// resides at — what `begin_step` reads first, one lookahead later.
     /// No-op off the staged path.
@@ -757,6 +824,45 @@ impl<'a, P: WalkerProgram, O: WalkObserver<P::Data>> NodeRt<'a, P, O> {
             if self.biased {
                 self.alias
                     .prefetch_total(v.wrapping_sub(self.base) as usize);
+            }
+        }
+    }
+
+    /// The edge index a staged candidate draw resolves to, on the row
+    /// starting at cell `lo`.
+    #[inline]
+    fn staged_candidate(&self, lo: usize, bucket: usize, coin: f64) -> usize {
+        if self.biased {
+            self.alias.resolve_at(lo, bucket, coin)
+        } else {
+            bucket
+        }
+    }
+
+    /// Middle stage of a staged second-order step: reads the candidate
+    /// `begin_step` hinted and, when the dart will put a state query to a
+    /// vertex this node owns, hints the adjacency lines the answer's
+    /// probe reads — `finish_step` asks a stage later. Writes nothing.
+    #[inline]
+    fn prefetch_probe(&self, slot: &Slot<P>, staged: Staged, env: &Envelope) {
+        let Staged::Dart {
+            lo,
+            trial: Trial::Main { y },
+            bucket,
+            coin,
+        } = staged
+        else {
+            return;
+        };
+        let csr = self.staged.expect("staged on a CSR");
+        if y < env.lower {
+            return; // pre-accepted: asks nothing
+        }
+        let idx = self.staged_candidate(lo, bucket, coin);
+        let edge = csr.edge(slot.walker.current, idx);
+        if let Some((target, _)) = self.program.state_query(&slot.walker, edge) {
+            if self.owns(target) {
+                csr.prefetch_adjacency(target);
             }
         }
     }
@@ -1331,7 +1437,9 @@ pub(crate) fn open_superstep(
     n_slots: usize,
     prof: &mut NodeObs,
 ) -> (Phase, ChunkCtx) {
-    let light = scheduler.is_light(n_slots);
+    // A one-thread node runs every superstep serially; only the switch
+    // itself is light mode.
+    let light = scheduler.below_light_threshold(n_slots);
     prof.superstep(n_slots as u64, scheduler.chunk_count(n_slots) as u64, light);
     let phase = if light {
         Phase::LightMode
@@ -1342,8 +1450,9 @@ pub(crate) fn open_superstep(
 }
 
 /// Merges chunk accumulators into node-level buffers and returns the
-/// combined outbox. Chunk instrumentation is absorbed here too — in chunk
-/// order, so profiles inherit the scheduler's determinism contract.
+/// combined outbox and asked list. Chunk instrumentation is absorbed
+/// here too — in chunk order, so profiles inherit the scheduler's
+/// determinism contract.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_accs<P: WalkerProgram, O: WalkObserver<P::Data>>(
     observer: &O,
@@ -1354,13 +1463,15 @@ pub(crate) fn merge_accs<P: WalkerProgram, O: WalkObserver<P::Data>>(
     metrics: &mut WalkMetrics,
     obs_acc: &mut O::Acc,
     prof: &mut NodeObs,
-) -> Vec<Vec<Msg<P>>> {
+) -> (Vec<Vec<Msg<P>>>, Vec<Asked>) {
     let mut outbox: Vec<Vec<Msg<P>>> = (0..n_nodes).map(|_| Vec::new()).collect();
+    let mut asked = Vec::new();
     let mut iter_metrics = WalkMetrics::default();
     for mut acc in accs {
         for (to, msgs) in acc.outbox.iter_mut().enumerate() {
             outbox[to].append(msgs);
         }
+        asked.append(&mut acc.asked);
         paths.append(&mut acc.paths);
         finished.append(&mut acc.finished);
         iter_metrics.merge(&acc.metrics);
@@ -1372,7 +1483,7 @@ pub(crate) fn merge_accs<P: WalkerProgram, O: WalkObserver<P::Data>>(
     let saved_iterations = metrics.iterations;
     metrics.merge(&iter_metrics);
     metrics.iterations = saved_iterations;
-    outbox
+    (outbox, asked)
 }
 
 /// The once-per-step checks that precede sampling: the termination
@@ -1397,13 +1508,15 @@ fn step_prelude<P: WalkerProgram>(
 
 /// First half of a step. On the staged path (see [`NodeRt::staged`]) it
 /// runs everything up to the memory the RNG chooses — prelude, degree and
-/// zero-mass checks, the draw itself, in the RNG order of `local_step` —
-/// and hints that memory; `finish_step` reads it. Touches nothing but the
-/// slot's own walker.
+/// zero-mass checks, for a dynamic program the envelope fill (into `env`)
+/// and the round's first dart, then the candidate draw, all in the RNG
+/// order of `local_step` — and hints that memory; `finish_step` reads it.
+/// Touches nothing but the slot and `env`.
 #[inline]
 fn begin_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
+    env: &mut Envelope,
 ) -> Staged {
     // Distributed-memory discipline: a node only ever samples at vertices
     // it owns. The CSR is shared for simulation convenience, but every
@@ -1413,18 +1526,60 @@ fn begin_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
         rt.me,
         "walker resides on a vertex this node does not own"
     );
-    let (Some(csr), SlotState::Active { fresh, .. }) = (rt.staged, &slot.state) else {
+    let (Some(csr), &SlotState::Active { fresh, stuck }) = (rt.staged, &slot.state) else {
         return Staged::Eager;
     };
-    if *fresh {
+    if P::SECOND_ORDER && stuck > rt.cfg.max_local_trials {
+        // Out of rejections: `finish` switches the walker to a full scan.
+        return Staged::Eager;
+    }
+    if fresh {
         if let Some(done) = step_prelude(rt.program, GraphRef::Csr(csr), &mut slot.walker) {
             return Staged::Done(done);
+        }
+        if P::DYNAMIC {
+            // The step may outlive this iteration: its prelude has run.
+            slot.state = SlotState::Active {
+                fresh: false,
+                stuck,
+            };
         }
     }
     let v = slot.walker.current;
     let (lo, deg) = csr.row(v);
     if deg == 0 {
         return Staged::Done(StepOutcome::Finished);
+    }
+    if P::DYNAMIC {
+        rt.fill_envelope(&slot.walker, deg, env);
+        // No dart lands on a board without area: the walk ends.
+        let Some(trial) = env.draw(&mut slot.walker.rng) else {
+            return Staged::Done(StepOutcome::Finished);
+        };
+        // An appendix dart names its edge by the outlier's target; a dart
+        // in the main rectangle draws it from the static distribution.
+        let (mut bucket, mut coin) = (0, 0.0);
+        if let Trial::Main { .. } = trial {
+            if rt.biased {
+                (bucket, coin) = alias::draw_cell(deg, &mut slot.walker.rng);
+                rt.alias.prefetch_cell(lo + bucket);
+            } else {
+                bucket = slot.walker.rng.next_index(deg);
+            }
+            csr.prefetch_edge(lo + bucket);
+        }
+        if P::SECOND_ORDER {
+            // Where a second-order candidate's state query usually goes.
+            if let Some(prev) = slot.walker.prev.filter(|&t| rt.owns(t)) {
+                csr.prefetch_row_bounds(prev);
+            }
+        }
+        return Staged::Dart {
+            lo,
+            trial,
+            bucket,
+            coin,
+        };
     }
     if !rt.biased {
         let pos = lo + slot.walker.rng.next_index(deg);
@@ -1444,30 +1599,43 @@ fn begin_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
 
 /// Second half of a step: resolves what `begin_step` staged, or runs the
 /// whole step when nothing was. `slot_idx` is the walker's index in the
-/// node's slot vector, used to address query answers back to it.
+/// node's slot vector, used to address query answers back to it; `env` is
+/// the envelope `begin_step` filled, or scratch for the eager step.
 #[inline]
 pub(crate) fn finish_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     slot_idx: u32,
     staged: Staged,
+    env: &mut Envelope,
     acc: &mut ChunkAcc<P, O>,
 ) -> StepOutcome {
-    let target = |pos| rt.staged.expect("staged on a CSR").target(pos);
+    let csr = || rt.staged.expect("staged on a CSR");
+    let target = |pos| csr().target(pos);
     match staged {
-        Staged::Eager => local_step(rt, slot, slot_idx, acc),
+        Staged::Eager => local_step(rt, slot, slot_idx, env, acc),
         Staged::Done(outcome) => outcome,
         Staged::Alias { lo, bucket, coin } => {
             StepOutcome::Moved(target(lo + rt.alias.resolve_at(lo, bucket, coin)))
         }
         Staged::Uniform { pos } => StepOutcome::Moved(target(pos)),
+        Staged::Dart {
+            lo,
+            trial,
+            bucket,
+            coin,
+        } => {
+            let first = (trial, rt.staged_candidate(lo, bucket, coin));
+            let deg = csr().degree(slot.walker.current);
+            throw_darts(rt, slot, slot_idx, deg, Some(first), env, acc)
+        }
     }
 }
 
 /// The eager step: one *local* sampling decision for a walker, start to
-/// end (everything except remote-answer cases). Rejection-sampled and
-/// second-order programs, the radix backend and dynamic graphs all step
-/// here.
+/// end (everything except remote-answer cases). The radix backend, mixed
+/// mode and dynamic graphs step here, and so does every round of darts
+/// after a step's first.
 ///
 /// When the walker is `fresh`, the prelude runs first (once per step, not
 /// per trial).
@@ -1475,6 +1643,7 @@ fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     slot_idx: u32,
+    env: &mut Envelope,
     acc: &mut ChunkAcc<P, O>,
 ) -> StepOutcome {
     // All graph reads in this step resolve at the walker's pinned epoch.
@@ -1509,69 +1678,125 @@ fn local_step<P: WalkerProgram, O: WalkObserver<P::Data>>(
         return StepOutcome::Moved(graph.edge(v, idx).dst);
     }
 
-    rt.fill_envelope(&slot.walker, deg, &mut acc.env);
-    if acc.env.total_area() <= 0.0 {
+    rt.fill_envelope(&slot.walker, deg, env);
+    if env.total_area() <= 0.0 {
         return StepOutcome::Finished;
     }
+    throw_darts(rt, slot, slot_idx, deg, None, env, acc)
+}
 
-    for _ in 0..rt.cfg.max_local_trials {
-        acc.metrics.trials += 1;
-        let Some(dart) = acc.env.draw(&mut slot.walker.rng) else {
-            return StepOutcome::Finished;
-        };
-        let (idx, edge, y) = match dart {
-            knightking_sampling::Trial::Main { y } => {
-                let idx = rt.candidate(v, deg, slot.walker.epoch, &mut slot.walker.rng);
-                let edge = graph.edge(v, idx);
-                if y < acc.env.lower {
-                    acc.metrics.pre_accepts += 1;
-                    return StepOutcome::Moved(edge.dst);
+/// Throws darts at `env` for an `Active` walker at a vertex of degree
+/// `deg` until its step is decided or has to wait for another rank (the
+/// slot turns `Awaiting`, listed in `acc.asked`): rounds of up to
+/// `max_local_trials` darts, `first` — the dart and candidate
+/// `begin_step` drew — leading the first round.
+///
+/// A dart whose candidate needs a state query asks through
+/// [`post_query`]. An answer from this node settles the dart at once; a
+/// rejection on it closes the round — one more `stuck`, the full-scan
+/// threshold, a fresh trial budget — exactly where a rejection on a
+/// remote answer closes it an iteration later, so a walker's draws and
+/// every counter fall the same whichever rank owns the target.
+fn throw_darts<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    rt: &NodeRt<'_, P, O>,
+    slot: &mut Slot<P>,
+    slot_idx: u32,
+    deg: usize,
+    mut first: Option<(Trial, usize)>,
+    env: &Envelope,
+    acc: &mut ChunkAcc<P, O>,
+) -> StepOutcome {
+    let SlotState::Active { mut stuck, .. } = slot.state else {
+        unreachable!("throw_darts requires an Active slot")
+    };
+    let v = slot.walker.current;
+    let epoch = slot.walker.epoch;
+    let graph = rt.graph.at(epoch);
+    'round: loop {
+        for _ in 0..rt.cfg.max_local_trials {
+            acc.metrics.trials += 1;
+            let (trial, candidate) = match first.take() {
+                Some(staged) => staged,
+                None => {
+                    let Some(trial) = env.draw(&mut slot.walker.rng) else {
+                        return StepOutcome::Finished;
+                    };
+                    let candidate = match trial {
+                        Trial::Main { .. } => rt.candidate(v, deg, epoch, &mut slot.walker.rng),
+                        Trial::Appendix { .. } => 0,
+                    };
+                    (trial, candidate)
                 }
-                (idx, edge, y)
-            }
-            knightking_sampling::Trial::Appendix { index, x_mass, y } => {
-                acc.metrics.appendix_hits += 1;
-                let slot_decl: OutlierSlot = acc.env.outliers[index];
-                // Spread the appendix's horizontal mass across all
-                // (possibly parallel) edges leading to the declared
-                // target, proportionally to their Ps — exact even on
-                // multigraphs.
-                let mut chosen = None;
-                let mut cum = 0.0f64;
-                for i in graph.edge_range(v, slot_decl.target) {
-                    let e = graph.edge(v, i);
-                    cum += rt.ps(graph, e);
-                    if x_mass < cum {
-                        chosen = Some((i, e));
-                        break;
+            };
+            let (edge, y) = match trial {
+                Trial::Main { y } => {
+                    let edge = graph.edge(v, candidate);
+                    if y < env.lower {
+                        acc.metrics.pre_accepts += 1;
+                        return StepOutcome::Moved(edge.dst);
                     }
+                    (edge, y)
                 }
-                let Some((idx, edge)) = chosen else {
-                    continue;
-                };
-                (idx, edge, y)
+                Trial::Appendix { index, x_mass, y } => {
+                    acc.metrics.appendix_hits += 1;
+                    let slot_decl: OutlierSlot = env.outliers[index];
+                    // Spread the appendix's horizontal mass across all
+                    // (possibly parallel) edges leading to the declared
+                    // target, proportionally to their Ps — exact even on
+                    // multigraphs.
+                    let mut chosen = None;
+                    let mut cum = 0.0f64;
+                    for i in graph.edge_range(v, slot_decl.target) {
+                        let e = graph.edge(v, i);
+                        cum += rt.ps(graph, e);
+                        if x_mass < cum {
+                            chosen = Some(e);
+                            break;
+                        }
+                    }
+                    let Some(edge) = chosen else {
+                        continue;
+                    };
+                    (edge, y)
+                }
+            };
+            if P::SECOND_ORDER {
+                if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
+                    let tag = edge.index as u32;
+                    let Some(answer) = post_query(rt, acc, slot_idx, target, tag, epoch, payload)
+                    else {
+                        slot.state = SlotState::Awaiting {
+                            answer: None,
+                            stuck,
+                        };
+                        acc.asked.push(Asked::Dart {
+                            slot: slot_idx,
+                            edge,
+                            y,
+                        });
+                        return StepOutcome::Posted;
+                    };
+                    let pd = rt.pd(&slot.walker, edge, Some(answer), &mut acc.metrics);
+                    if y < pd {
+                        return StepOutcome::Moved(edge.dst);
+                    }
+                    stuck += 1;
+                    if stuck > rt.cfg.max_local_trials {
+                        return StepOutcome::NeedFullScan;
+                    }
+                    continue 'round;
+                }
             }
+            let pd = rt.pd(&slot.walker, edge, None, &mut acc.metrics);
+            if y < pd {
+                return StepOutcome::Moved(edge.dst);
+            }
+        }
+        return if P::SECOND_ORDER {
+            StepOutcome::NeedFullScan
+        } else {
+            rt.local_full_scan(&mut slot.walker, deg, acc)
         };
-        if P::SECOND_ORDER {
-            if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
-                let epoch = slot.walker.epoch;
-                post_query(rt, acc, slot_idx, target, idx as u32, epoch, payload);
-                return StepOutcome::Posted {
-                    edge: idx as u32,
-                    y,
-                };
-            }
-        }
-        let pd = rt.pd(&slot.walker, edge, None, &mut acc.metrics);
-        if y < pd {
-            return StepOutcome::Moved(edge.dst);
-        }
-    }
-
-    if P::SECOND_ORDER {
-        StepOutcome::NeedFullScan
-    } else {
-        rt.local_full_scan(&mut slot.walker, deg, acc)
     }
 }
 
@@ -1591,9 +1816,12 @@ pub(crate) fn finish_walk<P: WalkerProgram, O: WalkObserver<P::Data>>(
     });
 }
 
-/// Emits a state query message addressed to the owner of `target`,
-/// carrying the asking walker's pinned epoch so the owner answers against
-/// the same snapshot.
+/// The one place a walker asks about another vertex's state. A `target`
+/// this node owns is answered on the spot, against the asking walker's
+/// pinned snapshot — `Some(answer)`. Any other becomes a [`Msg::Query`]
+/// to its owner, carrying that epoch so the owner answers against the
+/// same snapshot, and `None`: the answer comes back through the answer
+/// round, addressed to `slot_idx` and `tag`.
 pub(crate) fn post_query<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     acc: &mut ChunkAcc<P, O>,
@@ -1602,9 +1830,15 @@ pub(crate) fn post_query<P: WalkerProgram, O: WalkObserver<P::Data>>(
     tag: u32,
     epoch: u64,
     payload: P::Query,
-) {
+) -> Option<P::Answer> {
     acc.metrics.queries += 1;
     let owner = rt.owner(target);
+    if owner == rt.me {
+        return Some(
+            rt.program
+                .answer_query(&rt.graph.at(epoch), target, payload),
+        );
+    }
     acc.outbox[owner].push(Msg::Query {
         from: rt.me as u32,
         slot: slot_idx,
@@ -1613,4 +1847,5 @@ pub(crate) fn post_query<P: WalkerProgram, O: WalkObserver<P::Data>>(
         epoch,
         payload,
     });
+    None
 }

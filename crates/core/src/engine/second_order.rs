@@ -1,33 +1,68 @@
-//! Second-order execution: the two-round query protocol (§5.1).
+//! Second-order execution: the two-round query protocol (§5.1), with a
+//! rank answering its own questions on the spot.
 //!
-//! Each iteration implements the paper's five steps:
+//! A second-order step throws darts like any other (`finish_step`); what
+//! sets it apart is that a candidate's `Pd` may depend on the state of
+//! another vertex — for node2vec, whether the candidate is a neighbour of
+//! the previous stop. Every such question goes through one ask-point,
+//! [`post_query`]:
 //!
-//! 1. walkers generate candidate edges and perform preliminary screening
-//!    (pre-acceptance below `L(v)`, locally-resolvable `Pd` cases);
-//! 2. walkers issue walker-to-vertex state queries for candidates whose
-//!    `Pd` depends on another vertex's state;
-//! 3. all nodes process received queries and send back results;
-//! 4. walkers retrieve their query results;
-//! 5. walkers decide the sampling outcome and move if successful —
-//!    rejected walkers stay put and retry next iteration (the straggler
-//!    behaviour §6.2 discusses).
+//! * the asking rank **owns** the vertex: `answer_query` runs then and
+//!   there against the walker's pinned snapshot, and the walker decides —
+//!   accepts and moves, or counts a rejection and throws its next dart —
+//!   within the same visit;
+//! * another rank owns it: the question becomes a [`Msg::Query`], the
+//!   walker waits in [`SlotState::Awaiting`], and the paper's remaining
+//!   steps run: (3) all nodes process received queries and send back
+//!   results, (4) walkers retrieve them, (5) walkers decide, and a
+//!   rejected walker stays put and retries next iteration (the straggler
+//!   behaviour §6.2 discusses).
 //!
-//! Three all-to-all exchanges carry this: queries (+ early moves),
-//! answers, then late moves.
+//! Three all-to-all exchanges carry an iteration on every rank, whether
+//! or not it has anything to send: queries (+ the moves decided in phase
+//! A), answers, then the moves decided on remote answers.
+//!
+//! **What is staged.** On CSR rows with alias or uniform candidates
+//! (decoupled mode) the first dart of every round goes through the step
+//! kernel's stages ([`run_chunk`]): `begin_step` fills the envelope,
+//! throws the dart, draws the candidate and hints its cells and the
+//! previous stop's row bounds; a lookahead later the probe hint reads the
+//! candidate and hints the adjacency lines a locally answered query will
+//! search; a lookahead after that `finish_step` resolves, pre-accepts
+//! below `L(v)`, asks, decides. Only the darts after a rejection — about
+//! one step in nine — run unstaged. The remote answer loop
+//! ([`answer_queries`]) walks its inbox with the same two hints ahead of
+//! each probe. Radix, mixed-mode and dynamic-graph rows step eagerly
+//! through the same `finish_step`, inline answers included.
+//!
+//! **Why paths cannot change with the rank count.** A walker's RNG stream
+//! is private, an answer is a pure function of the graph snapshot the
+//! walker pinned, and a rejection on a local answer closes the round of
+//! darts exactly where one on a remote answer does (`throw_darts`). So a
+//! walker draws the same numbers and takes the same decisions wherever
+//! its targets live; the ownership of a target only decides *when* — in
+//! which iteration — the next dart is thrown. Paths, `steps`, `trials`,
+//! `queries` (an inline answer is still a query), `edges_evaluated`,
+//! `pre_accepts`, `appendix_hits` and `fallback_scans` are functions of
+//! the seed; `iterations`, the per-iteration active series, message and
+//! byte counts and the phase shares depend on the partition. On one rank
+//! no query is ever sent and a length-`L` walk takes `L + 1` iterations.
 //!
 //! A walker that exhausts `max_local_trials` darts switches to an exact
-//! distributed **full scan**: it queries the state of every out-edge in
-//! windows of [`FULL_SCAN_WINDOW`](super::FULL_SCAN_WINDOW) per iteration,
-//! accumulates the true `Ps·Pd` of each edge, then either samples from the
-//! exact distribution or — if the total mass is zero — terminates, which
-//! is how "no out edges with positive transition probability" (§2.2) is
-//! detected without sacrificing exactness.
+//! distributed **full scan**: it asks about every out-edge — remote
+//! targets in windows of [`FULL_SCAN_WINDOW`](super::FULL_SCAN_WINDOW)
+//! per iteration — accumulates the true `Ps·Pd` of each edge, then either
+//! samples from the exact distribution or — if the total mass is zero —
+//! terminates, which is how "no out edges with positive transition
+//! probability" (§2.2) is detected without sacrificing exactness.
 
 use knightking_cluster::Scheduler;
+use knightking_graph::EdgeView;
 use knightking_net::{Transport, Wire};
-use knightking_sampling::CdfTable;
+use knightking_sampling::{rejection::Envelope, CdfTable};
 
 use crate::{
+    graphref::GraphRef,
     metrics::WalkMetrics,
     program::{WalkObserver, WalkerProgram},
     result::PathEntry,
@@ -36,8 +71,8 @@ use crate::{
 use super::{
     finish_step, finish_walk,
     instrument::{NodeObs, Phase},
-    merge_accs, open_superstep, post_query, run_chunk, ChunkAcc, FinishedWalk, FullScanState, Msg,
-    NodeRt, Slot, SlotState, Staged, StepOutcome, FULL_SCAN_WINDOW,
+    merge_accs, open_superstep, post_query, run_chunk, Asked, ChunkAcc, FinishedWalk,
+    FullScanState, Msg, NodeRt, Slot, SlotState, Staged, StepOutcome, FULL_SCAN_WINDOW,
 };
 
 /// Runs one second-order BSP iteration on this node.
@@ -56,17 +91,17 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     let n = ctx.n_nodes();
     let (compute_phase, obs_ctx) = open_superstep(scheduler, slots.len(), prof);
 
-    // ---- Phase A: candidates, screening, queries (steps 1-2). ----
+    // ---- Phase A: darts, local answers and decisions, remote queries. ----
     let accs = prof.time(compute_phase, || {
         scheduler.run_chunks(
             slots,
             || ChunkAcc::new(n, rt.observer, obs_ctx),
             |base, slice, acc| {
-                run_chunk(rt, slice, base, acc, |slot, idx, staged, acc| {
+                run_chunk(rt, slice, base, acc, |slot, idx, staged, env, acc| {
                     if matches!(slot.state, SlotState::Active { .. }) {
-                        phase_a_active(rt, slot, idx, staged, acc);
+                        phase_a_active(rt, slot, idx, staged, env, acc);
                     } else if matches!(slot.state, SlotState::FullScan(_)) {
-                        post_scan_queries(rt, slot, idx, acc);
+                        continue_scan(rt, slot, idx, acc);
                     } else {
                         unreachable!("awaiting/departed/finished slots cannot start an iteration")
                     }
@@ -75,7 +110,7 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         )
     });
     let finished_before = finished.len();
-    let outbox = merge_accs(
+    let (outbox, asked) = merge_accs(
         rt.observer,
         accs,
         n,
@@ -85,53 +120,24 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         obs_acc,
         prof,
     );
+    debug_assert!(
+        !outbox[rt.me].iter().any(|m| matches!(m, Msg::Query { .. })),
+        "a query about a vertex this rank owns is answered inline"
+    );
 
     // ---- Exchange 1: queries out, early moves along for the ride. ----
     let mut any_left = outbox.iter().any(|o| !o.is_empty());
-    let (inbox, q_stats) = prof.time(Phase::QueryRound, || {
+    let (mut inbox, q_stats) = prof.time(Phase::QueryRound, || {
         ctx.exchange_with_stats(outbox, &Msg::<P>::wire_size)
     });
     prof.record_exchange_bytes(q_stats.sent_bytes);
-    let mut arrivals: Vec<Slot<P>> = Vec::new();
-    let mut queries: Vec<(u32, u32, u32, knightking_graph::VertexId, u64, P::Query)> = Vec::new();
-    for msg in inbox {
-        match msg {
-            Msg::Move(walker) => arrivals.push(Slot {
-                walker,
-                state: SlotState::fresh(),
-            }),
-            Msg::Query {
-                from,
-                slot,
-                tag,
-                target,
-                epoch,
-                payload,
-            } => queries.push((from, slot, tag, target, epoch, payload)),
-            Msg::Answer { .. } => unreachable!("no answers in the query round"),
-        }
-    }
 
-    // ---- Step 3: execute queries at the owned vertices. ----
+    // ---- Step 3: execute the other ranks' queries at the owned vertices. ----
     let answer_outbox = prof.time(Phase::QueryRound, || {
         let answer_accs = scheduler.run_chunks(
-            &mut queries,
+            &mut inbox,
             || -> Vec<Vec<Msg<P>>> { (0..n).map(|_| Vec::new()).collect() },
-            |_base, slice, acc| {
-                for &mut (from, slot, tag, target, epoch, payload) in slice {
-                    debug_assert_eq!(rt.partition.owner(target), rt.me);
-                    // Answer against the asking walker's snapshot, not
-                    // this node's build epoch.
-                    let answer = rt
-                        .program
-                        .answer_query(&rt.graph.at(epoch), target, payload);
-                    acc[from as usize].push(Msg::Answer {
-                        slot,
-                        tag,
-                        payload: answer,
-                    });
-                }
-            },
+            |_base, slice, acc| answer_queries(rt, slice, acc),
         );
         let mut answer_outbox: Vec<Vec<Msg<P>>> = (0..n).map(|_| Vec::new()).collect();
         for mut acc in answer_accs {
@@ -141,6 +147,17 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
         }
         answer_outbox
     });
+    let mut arrivals: Vec<Slot<P>> = Vec::new();
+    for msg in inbox {
+        match msg {
+            Msg::Move(walker) => arrivals.push(Slot {
+                walker,
+                state: SlotState::fresh(),
+            }),
+            Msg::Query { .. } => {} // answered above
+            Msg::Answer { .. } => unreachable!("no answers in the query round"),
+        }
+    }
 
     // ---- Exchange 2 + step 4: answers come back. ----
     let (answers, a_stats) = prof.time(Phase::AnswerRound, || {
@@ -153,63 +170,29 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
                 unreachable!("only answers in the answer round")
             };
             match &mut slots[slot as usize].state {
-                SlotState::Awaiting { edge, answer, .. } => {
-                    debug_assert_eq!(*edge, tag);
-                    *answer = Some(payload);
-                }
+                SlotState::Awaiting { answer, .. } => *answer = Some(payload),
                 SlotState::FullScan(scan) => scan.received.push((tag, payload)),
                 _ => unreachable!("answer addressed to a slot that asked nothing"),
             }
         }
     });
 
-    // ---- Phase B (step 5): decide outcomes; movers move. Timed as its
-    // own `Commit` phase so the answer-application cost of second-order
-    // walks is visible separately from phase A's sampling. ----
+    // ---- Phase B (step 5): the walkers that asked another rank decide;
+    // movers move. Timed as its own `Commit` phase so the answer-
+    // application cost of second-order walks is visible separately from
+    // phase A's sampling. ----
     let accs = prof.time(Phase::Commit, || {
         scheduler.run_chunks(
-            slots,
+            &mut pick(slots, asked),
             || ChunkAcc::new(n, rt.observer, obs_ctx),
             |_base, slice, acc| {
-                for slot in slice {
-                    let answered = match &slot.state {
-                        SlotState::Awaiting {
-                            edge,
-                            y,
-                            answer: Some(a),
-                            stuck,
-                        } => Some((*edge, *y, *a, *stuck)),
-                        SlotState::Awaiting { answer: None, .. } => {
-                            unreachable!("every posted query is answered in its iteration")
-                        }
-                        _ => None,
-                    };
-                    if let Some((edge, y, a, stuck)) = answered {
-                        let g = rt.graph.at(slot.walker.epoch);
-                        let view = g.edge(slot.walker.current, edge as usize);
-                        let pd = rt.pd(&slot.walker, view, Some(a), &mut acc.metrics);
-                        if y < pd {
-                            rt.commit_move(slot, view.dst, acc);
-                        } else {
-                            // Rejected: stuck at the current vertex until the
-                            // next iteration. Too many consecutive rejections
-                            // switch the walker to the exact full scan, which
-                            // both bounds the retry cost and guarantees
-                            // termination when the true probability mass is
-                            // zero.
-                            slot.state = SlotState::Active {
-                                fresh: false,
-                                stuck: stuck + 1,
-                            };
-                        }
-                    } else if matches!(slot.state, SlotState::FullScan(_)) {
-                        fold_scan_answers(rt, slot, acc);
-                    }
+                for (slot, asked) in slice {
+                    decide(rt, slot, asked, acc);
                 }
             },
         )
     });
-    let outbox = merge_accs(
+    let (outbox, _) = merge_accs(
         rt.observer,
         accs,
         n,
@@ -244,13 +227,82 @@ pub(super) fn iteration<P: WalkerProgram, O: WalkObserver<P::Data>, T: Transport
     slots.append(&mut arrivals);
 }
 
+/// Pairs every entry of `asked` — slot indices strictly ascending — with
+/// its slot, the slots borrowed apart.
+fn pick<P: WalkerProgram>(
+    mut slots: &mut [Slot<P>],
+    asked: Vec<Asked>,
+) -> Vec<(&mut Slot<P>, Asked)> {
+    let mut out = Vec::with_capacity(asked.len());
+    let mut skipped = 0;
+    for a in asked {
+        let i = a.slot() as usize;
+        let (head, tail) = slots.split_at_mut(i - skipped + 1);
+        out.push((head.last_mut().expect("split after index i"), a));
+        slots = tail;
+        skipped = i + 1;
+    }
+    out
+}
+
+/// Answers the queries among one chunk of the query round's inbox (the
+/// moves riding along are skipped), each against its asker's pinned
+/// snapshot, not this node's build epoch. Staged like a walker step: the
+/// probe of query `i` reads adjacency lines hinted one lookahead earlier,
+/// found through row bounds hinted one before that.
+fn answer_queries<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    rt: &NodeRt<'_, P, O>,
+    inbox: &[Msg<P>],
+    out: &mut [Vec<Msg<P>>],
+) {
+    // A dynamic row has no fixed address to hint.
+    let csr = rt.graph.as_csr();
+    let target_of = |i: usize| match (csr, inbox.get(i)) {
+        (Some(csr), Some(Msg::Query { target, .. })) => Some((csr, *target)),
+        _ => None,
+    };
+    let d = rt.lookahead;
+    for t in 0..inbox.len() + 2 * d {
+        if let Some((csr, target)) = target_of(t) {
+            csr.prefetch_row_bounds(target);
+        }
+        if let Some((csr, target)) = t.checked_sub(d).and_then(target_of) {
+            csr.prefetch_adjacency(target);
+        }
+        let Some(Msg::Query {
+            from,
+            slot,
+            tag,
+            target,
+            epoch,
+            payload,
+        }) = t.checked_sub(2 * d).and_then(|i| inbox.get(i))
+        else {
+            continue;
+        };
+        debug_assert!(
+            rt.owns(*target),
+            "query routed to a rank that does not own its target"
+        );
+        let answer = rt
+            .program
+            .answer_query(&rt.graph.at(*epoch), *target, *payload);
+        out[*from as usize].push(Msg::Answer {
+            slot: *slot,
+            tag: *tag,
+            payload: answer,
+        });
+    }
+}
+
 /// Phase A handling of an `Active` walker: throw darts until a move, a
-/// posted query, termination, or trial exhaustion.
+/// query to another rank, termination, or trial exhaustion.
 fn phase_a_active<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     idx: u32,
     staged: Staged,
+    env: &mut Envelope,
     acc: &mut ChunkAcc<P, O>,
 ) {
     let SlotState::Active { stuck, .. } = slot.state else {
@@ -258,33 +310,72 @@ fn phase_a_active<P: WalkerProgram, O: WalkObserver<P::Data>>(
     };
     if stuck > rt.cfg.max_local_trials {
         init_full_scan(rt, slot, acc);
-        post_scan_queries(rt, slot, idx, acc);
+        continue_scan(rt, slot, idx, acc);
         return;
     }
     let trials_before = acc.metrics.trials;
-    match finish_step(rt, slot, idx, staged, acc) {
+    match finish_step(rt, slot, idx, staged, env, acc) {
         StepOutcome::Finished => finish_walk(slot, acc),
         StepOutcome::Moved(dst) => {
             rt.commit_move(slot, dst, acc);
         }
-        StepOutcome::Posted { edge, y } => {
-            slot.state = SlotState::Awaiting {
-                edge,
-                y,
-                answer: None,
-                stuck,
-            };
-        }
+        StepOutcome::Posted => {}
         StepOutcome::NeedFullScan => {
             init_full_scan(rt, slot, acc);
-            post_scan_queries(rt, slot, idx, acc);
+            continue_scan(rt, slot, idx, acc);
         }
     }
     acc.obs.record_trials(acc.metrics.trials - trials_before);
 }
 
+/// Phase B handling of a walker that asked another rank this iteration.
+fn decide<P: WalkerProgram, O: WalkObserver<P::Data>>(
+    rt: &NodeRt<'_, P, O>,
+    slot: &mut Slot<P>,
+    asked: &Asked,
+    acc: &mut ChunkAcc<P, O>,
+) {
+    match *asked {
+        Asked::Dart { edge, y, .. } => {
+            let SlotState::Awaiting { answer, stuck } = slot.state else {
+                unreachable!("a walker that posted a dart's query awaits its answer")
+            };
+            let answer = answer.expect("every posted query is answered in its iteration");
+            let pd = rt.pd(&slot.walker, edge, Some(answer), &mut acc.metrics);
+            if y < pd {
+                rt.commit_move(slot, edge.dst, acc);
+            } else {
+                // Rejected: stuck at the current vertex until the next
+                // iteration. Too many consecutive rejections switch the
+                // walker to the exact full scan, which both bounds the
+                // retry cost and guarantees termination when the true
+                // probability mass is zero.
+                slot.state = SlotState::Active {
+                    fresh: false,
+                    stuck: stuck + 1,
+                };
+            }
+        }
+        Asked::Scan { .. } => {
+            let Slot { walker, state } = slot;
+            let SlotState::FullScan(scan) = state else {
+                unreachable!("a walker that posted a scan's queries is scanning")
+            };
+            let g = rt.graph.at(walker.epoch);
+            for (tag, answer) in std::mem::take(&mut scan.received) {
+                let edge = g.edge(walker.current, tag as usize);
+                let pd = rt.pd(walker, edge, Some(answer), &mut acc.metrics);
+                scan.fill(tag, scan_product(rt, g, edge, pd));
+            }
+            if scan.unfilled == 0 {
+                complete_scan(rt, slot, acc);
+            }
+        }
+    }
+}
+
 /// Starts an exact full scan: pre-fills the `Ps·Pd` of every edge whose
-/// `Pd` is locally computable; the rest await queried answers.
+/// `Pd` is locally computable; the rest await answers.
 fn init_full_scan<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
@@ -317,8 +408,8 @@ fn init_full_scan<P: WalkerProgram, O: WalkObserver<P::Data>>(
 /// includes `Ps`).
 fn scan_product<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
-    g: crate::graphref::GraphRef<'_>,
-    edge: knightking_graph::EdgeView,
+    g: GraphRef<'_>,
+    edge: EdgeView,
     pd: f64,
 ) -> f64 {
     let ps = if rt.cfg.decoupled_static {
@@ -329,76 +420,58 @@ fn scan_product<P: WalkerProgram, O: WalkObserver<P::Data>>(
     (ps * pd).max(0.0)
 }
 
-/// Posts the next window of state queries for an in-progress full scan.
-fn post_scan_queries<P: WalkerProgram, O: WalkObserver<P::Data>>(
+/// Phase A handling of a full scan: asks about the edges still unknown,
+/// in edge order. Answers from this node fill their product at once;
+/// queries to other ranks stop at [`FULL_SCAN_WINDOW`] per iteration. A
+/// scan that needed no other rank completes here.
+fn continue_scan<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     idx: u32,
     acc: &mut ChunkAcc<P, O>,
 ) {
-    let v = slot.walker.current;
-    let epoch = slot.walker.epoch;
-    let g = rt.graph.at(epoch);
-    let deg = g.degree(v);
-    let SlotState::FullScan(scan) = &mut slot.state else {
-        unreachable!("post_scan_queries requires a FullScan slot")
+    let Slot { walker, state } = slot;
+    let SlotState::FullScan(scan) = state else {
+        unreachable!("continue_scan requires a FullScan slot")
     };
+    let v = walker.current;
+    let g = rt.graph.at(walker.epoch);
+    let deg = g.degree(v);
     let mut posted = 0usize;
     let mut i = scan.next_unqueried;
-    // Collect this window's queries first: `post_query` needs `&acc`
-    // while `scan` borrows the slot, so stage then emit.
-    let mut staged: Vec<(u32, knightking_graph::VertexId, P::Query)> = Vec::new();
     while i < deg && posted < FULL_SCAN_WINDOW {
         if scan.products[i].is_nan() {
             let edge = g.edge(v, i);
-            if let Some((target, payload)) = rt.program.state_query(&slot.walker, edge) {
-                staged.push((i as u32, target, payload));
-                posted += 1;
+            if let Some((target, payload)) = rt.program.state_query(walker, edge) {
+                match post_query(rt, acc, idx, target, i as u32, walker.epoch, payload) {
+                    Some(answer) => {
+                        let pd = rt.pd(walker, edge, Some(answer), &mut acc.metrics);
+                        scan.fill(i as u32, scan_product(rt, g, edge, pd));
+                    }
+                    None => posted += 1,
+                }
             }
         }
         i += 1;
     }
     scan.next_unqueried = i;
-    for (tag, target, payload) in staged {
-        post_query(rt, acc, idx, target, tag, epoch, payload);
+    if posted > 0 {
+        acc.asked.push(Asked::Scan { slot: idx });
+    } else if scan.unfilled == 0 {
+        complete_scan(rt, slot, acc);
     }
 }
 
-/// Folds received answers into the scan; completes it when every edge's
-/// product is known.
-fn fold_scan_answers<P: WalkerProgram, O: WalkObserver<P::Data>>(
+/// Ends a full scan whose every product is known: samples from the exact
+/// distribution, or terminates the walk on zero mass.
+fn complete_scan<P: WalkerProgram, O: WalkObserver<P::Data>>(
     rt: &NodeRt<'_, P, O>,
     slot: &mut Slot<P>,
     acc: &mut ChunkAcc<P, O>,
 ) {
-    let v = slot.walker.current;
-    let g = rt.graph.at(slot.walker.epoch);
-    let SlotState::FullScan(scan) = &mut slot.state else {
-        unreachable!("fold_scan_answers requires a FullScan slot")
+    let SlotState::FullScan(scan) = &slot.state else {
+        unreachable!("complete_scan requires a FullScan slot")
     };
-    let received = std::mem::take(&mut scan.received);
-    // Split borrows: compute products against an immutable walker view.
-    for (tag, answer) in received {
-        let edge = g.edge(v, tag as usize);
-        acc.metrics.edges_evaluated += 1;
-        let base = rt
-            .program
-            .dynamic_comp(&g, &slot.walker, edge, Some(answer));
-        let pd = if rt.cfg.decoupled_static {
-            base
-        } else {
-            base * rt.program.static_comp(&g, edge)
-        };
-        let product = scan_product(rt, g, edge, pd);
-        debug_assert!(scan.products[tag as usize].is_nan(), "duplicate answer");
-        scan.products[tag as usize] = product;
-        scan.unfilled -= 1;
-    }
-    if scan.unfilled > 0 {
-        return;
-    }
-
-    // Scan complete: sample exactly or terminate on zero mass.
     acc.cdf_scratch.clear();
     let mut run = 0.0f64;
     for &p in &scan.products {
@@ -410,6 +483,7 @@ fn fold_scan_answers<P: WalkerProgram, O: WalkObserver<P::Data>>(
         return;
     }
     let idx = CdfTable::sample_prepared(&acc.cdf_scratch, &mut slot.walker.rng);
-    let dst = g.edge(v, idx).dst;
+    let g = rt.graph.at(slot.walker.epoch);
+    let dst = g.edge(slot.walker.current, idx).dst;
     rt.commit_move(slot, dst, acc);
 }

@@ -129,10 +129,12 @@ pub trait WalkerProgram: Sync + Sized {
     /// Decides whether this candidate needs a walker-to-vertex state query
     /// — `postStateQuery`. Returns the vertex to consult and the payload.
     ///
-    /// The engine routes the query to the node owning the target vertex,
-    /// runs [`answer_query`](WalkerProgram::answer_query) there, and hands
-    /// the response to [`dynamic_comp`](WalkerProgram::dynamic_comp) in
-    /// the same iteration.
+    /// The engine runs [`answer_query`](WalkerProgram::answer_query) at
+    /// the node owning the target vertex — on the spot when that is the
+    /// asking node, through a query message otherwise — and hands the
+    /// response to [`dynamic_comp`](WalkerProgram::dynamic_comp) in the
+    /// same iteration. Must be a pure function of its arguments: the
+    /// engine also calls it ahead of time to hint the answer's memory.
     fn state_query(
         &self,
         _walker: &Walker<Self::Data>,
@@ -141,7 +143,10 @@ pub trait WalkerProgram: Sync + Sized {
         None
     }
 
-    /// Executes a state query at the node owning `target`.
+    /// Executes a state query at the node owning `target`, against the
+    /// asking walker's pinned snapshot. Must be a pure function of its
+    /// arguments — that is what makes a walk independent of which node
+    /// owns the vertices it asks about.
     ///
     /// Default panics: programs that never post queries never get here.
     fn answer_query(

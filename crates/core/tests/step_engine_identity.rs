@@ -8,13 +8,16 @@
 //! around the lookahead with unweighted / weighted / degenerate-row
 //! graphs, three program shapes, one and two nodes, static CSR and
 //! dynamic graphs — the latter also served, with sampler overrides and
-//! walkers pinned at two epochs.
+//! walkers pinned at two epochs. The second-order shape runs twice more
+//! in its hard corner: the return edge a declared outlier (appendix
+//! darts) under a trial budget of one or two, so rounds close on inline
+//! answers and full scans mix local and remote targets.
 
 use knightking_cluster::comm::run_cluster_with_metrics;
 use knightking_core::{
     AdmitRequest, CsrGraph, Directives, DynConfig, DynGraph, EdgeView, EpochUpdate, GraphRef, Msg,
-    RandomWalkEngine, ServeDelta, ServeDriver, VertexId, WalkConfig, WalkMetrics, WalkResult,
-    Walker, WalkerProgram, WalkerStarts, LOOKAHEAD,
+    OutlierSlot, RandomWalkEngine, ServeDelta, ServeDriver, VertexId, WalkConfig, WalkMetrics,
+    WalkResult, Walker, WalkerProgram, WalkerStarts, LOOKAHEAD,
 };
 use knightking_dyn::{EdgeAdd, EdgeRef, EdgeReweight, UpdateBatch};
 use knightking_graph::{gen, GraphBuilder};
@@ -59,12 +62,19 @@ impl WalkerProgram for Ppr {
     }
 }
 
-/// Second-order rejection-sampled walk with node2vec's `Pd`.
+/// Second-order rejection-sampled walk with node2vec's `Pd`. When the
+/// return edge's `1/p` towers over `{1, 1/q}` it is declared an outlier
+/// and the envelope covers only the rest.
 #[derive(Clone, Copy)]
 struct Node2Vec {
     p: f64,
     q: f64,
     len: u32,
+}
+impl Node2Vec {
+    fn return_edge_is_outlier(&self) -> bool {
+        1.0 / self.p > (1.0f64).max(1.0 / self.q)
+    }
 }
 impl WalkerProgram for Node2Vec {
     type Data = ();
@@ -89,11 +99,32 @@ impl WalkerProgram for Node2Vec {
             _ => 1.0 / self.q,
         }
     }
-    fn upper_bound(&self, _g: &GraphRef<'_>, _w: &Walker<()>) -> f64 {
-        (1.0f64).max(1.0 / self.p).max(1.0 / self.q)
+    fn upper_bound(&self, _g: &GraphRef<'_>, w: &Walker<()>) -> f64 {
+        let rest = (1.0f64).max(1.0 / self.q);
+        if w.prev.is_some() && self.return_edge_is_outlier() {
+            rest
+        } else {
+            rest.max(1.0 / self.p)
+        }
     }
     fn lower_bound(&self, _g: &GraphRef<'_>, _w: &Walker<()>) -> f64 {
         (1.0f64).min(1.0 / self.p).min(1.0 / self.q)
+    }
+    fn declare_outliers(&self, g: &GraphRef<'_>, w: &Walker<()>, out: &mut Vec<OutlierSlot>) {
+        let Some(t) = w.prev.filter(|_| self.return_edge_is_outlier()) else {
+            return;
+        };
+        let width: f64 = g
+            .edge_range(w.current, t)
+            .map(|i| g.edge(w.current, i).weight as f64)
+            .sum();
+        if width > 0.0 {
+            out.push(OutlierSlot {
+                target: t,
+                width_bound: width,
+                height_bound: 1.0 / self.p,
+            });
+        }
     }
 }
 
@@ -198,15 +229,31 @@ fn sweep<'g, P: WalkerProgram + Copy>(
     program: P,
     starts: WalkerStarts,
 ) {
+    sweep_tuned(label, graph, program, starts, |_| {});
+}
+
+/// [`sweep`] with every config adjusted by `tune`; returns the metrics of
+/// the last run for the caller to check the sweep reached what it meant to.
+fn sweep_tuned<'g, P: WalkerProgram + Copy>(
+    label: &str,
+    graph: impl Into<GraphRef<'g>>,
+    program: P,
+    starts: WalkerStarts,
+    tune: impl Fn(&mut WalkConfig),
+) -> WalkMetrics {
     let graph = graph.into();
-    for (cfg_label, cfg) in configs() {
+    let mut last = WalkMetrics::default();
+    for (cfg_label, mut cfg) in configs() {
+        tune(&mut cfg);
         let reference = RandomWalkEngine::new(graph, program, cfg.clone())
             .lookahead0()
             .run(starts.clone());
         let staged = RandomWalkEngine::new(graph, program, cfg).run(starts.clone());
         assert!(reference.metrics.steps > 0, "{label}: nothing walked");
         assert_identical(&reference, &staged, &format!("{label} {cfg_label}"));
+        last = staged.metrics;
     }
+    last
 }
 
 fn sweep_programs<'g>(label: &str, graph: impl Into<GraphRef<'g>>) {
@@ -224,7 +271,33 @@ fn sweep_programs<'g>(label: &str, graph: impl Into<GraphRef<'g>>) {
         q: 0.5,
         len: 10,
     };
-    sweep(&format!("{label} node2vec"), graph, n2v, starts);
+    sweep(&format!("{label} node2vec"), graph, n2v, starts.clone());
+    // The hard corner: the return edge an outlier, so darts land in its
+    // appendix, and a budget so short that rounds run out — on the spot
+    // after an inline answer, an iteration later after a remote one — and
+    // full scans ask about local and remote targets alike.
+    let skewed = Node2Vec {
+        p: 0.25,
+        q: 4.0,
+        len: 10,
+    };
+    for budget in [1, 2] {
+        let m = sweep_tuned(
+            &format!("{label} node2vec p=0.25 q=4 budget={budget}"),
+            graph,
+            skewed,
+            starts.clone(),
+            |cfg| cfg.max_local_trials = budget,
+        );
+        assert!(
+            m.fallback_scans > 0,
+            "{label} budget={budget}: no full scan"
+        );
+        assert!(
+            m.appendix_hits > 0,
+            "{label} budget={budget}: no appendix dart"
+        );
+    }
 }
 
 #[test]
